@@ -6,8 +6,8 @@
 // flags in plain `go test`: after the caches and pools are warm, a
 // chunk of steady-state kernel.step dispatches must perform exactly
 // zero heap allocations — the property the pooled calendar, the
-// runState free list and the batched telemetry counter exist to
-// provide.
+// runState free list, the batched telemetry counter and the buffered
+// shape finders exist to provide.
 package bgsched
 
 import (
@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"bgsched/internal/build"
+	"bgsched/internal/core"
 	"bgsched/internal/experiments"
 	"bgsched/internal/sim"
 	"bgsched/internal/telemetry"
@@ -24,11 +25,32 @@ func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state run in -short mode")
 	}
-	cfg, _, err := build.Default(experiments.RunConfig{
-		Workload: "SDSC", JobCount: 1000, FailureNominal: 1000,
-		Scheduler: experiments.SchedBaseline, Seed: 1, Finder: "fast",
-		Telemetry: telemetry.New(), // metrics on, trace and event log off
-	})
+	for _, tc := range []struct {
+		name string
+		cfg  experiments.RunConfig
+	}{
+		{"fast-baseline", experiments.RunConfig{
+			Workload: "SDSC", JobCount: 1000, FailureNominal: 1000,
+			Scheduler: experiments.SchedBaseline, Seed: 1, Finder: "fast",
+		}},
+		// The README headline configuration: the default shape finder,
+		// balancing at a=0.1 and EASY backfill.
+		{"shape-balancing-easy", experiments.RunConfig{
+			Workload: "SDSC", JobCount: 1000, FailureNominal: 1000,
+			Scheduler: experiments.SchedBalancing, Param: 0.1, Seed: 1,
+			Backfill: core.BackfillEASY,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { steadyStateZeroAllocs(t, tc.cfg) })
+	}
+}
+
+// steadyStateZeroAllocs runs rc once to warm its caches, then requires
+// zero allocations per 32-event chunk in the second half of a fresh
+// run.
+func steadyStateZeroAllocs(t *testing.T, rc experiments.RunConfig) {
+	rc.Telemetry = telemetry.New() // metrics on, trace and event log off
+	cfg, _, err := build.Default(rc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,12 @@
 // splitmix64 finisher — no shared PRNG state, no lock contention
 // between sites, and concurrent callers at one site race only for the
 // sequence number, never for the outcome attached to it. The per-site
-// running digest (Digest) folds every decision in sequence order, so
-// two soaks with the same seed and the same per-site decision counts
-// produce the same digest — the reproducibility check bgload and the
-// chaos smoke script rely on.
+// digest (Digest) is an order-independent combination — a wrapping sum
+// — of one hash per decision of (sequence number, decision
+// fingerprint), so two soaks with the same seed and the same per-site
+// decision counts produce the same digest however their callers
+// interleaved — the reproducibility check bgload and the chaos smoke
+// script rely on.
 //
 // The zero Injector pointer is valid and injects nothing, following the
 // telemetry package's nil-safety discipline: instrumented seams need no
@@ -28,6 +30,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -126,12 +129,12 @@ func (f RequestFault) Injected() bool {
 }
 
 // site tracks one decision stream: the next sequence number and the
-// running digest of decisions taken, both guarded by one mutex so the
-// digest folds decisions in sequence order.
+// digest of the decisions taken. Concurrent callers may fold their
+// decisions in any order, so the digest sums per-decision hashes
+// instead of chaining them.
 type site struct {
-	mu     sync.Mutex
-	n      uint64
-	digest uint64
+	n      atomic.Uint64
+	digest atomic.Uint64
 }
 
 // Injector hands out fault decisions. Safe for concurrent use; a nil
@@ -188,21 +191,11 @@ func (inj *Injector) rnd(siteName string, seq uint64, salt uint64) float64 {
 	return float64(x>>11) / (1 << 53)
 }
 
-// next claims the next sequence number at s and folds the decision
-// fingerprint fp into the site digest.
-func (s *site) next() uint64 {
-	s.mu.Lock()
-	n := s.n
-	s.n++
-	s.mu.Unlock()
-	return n
-}
+// next claims the next sequence number at s.
+func (s *site) next() uint64 { return s.n.Add(1) - 1 }
 
-func (s *site) fold(seq, fp uint64) {
-	s.mu.Lock()
-	s.digest = splitmix64(s.digest ^ splitmix64(seq^fp))
-	s.mu.Unlock()
-}
+// fold adds decision seq, with fingerprint fp, to the site digest.
+func (s *site) fold(seq, fp uint64) { s.digest.Add(splitmix64(splitmix64(seq) ^ fp)) }
 
 func (inj *Injector) count(kind string) {
 	inj.mu.Lock()
@@ -339,9 +332,7 @@ func (inj *Injector) Digest() string {
 	parts := make([]string, 0, len(names))
 	for _, n := range names {
 		s := sites[n]
-		s.mu.Lock()
-		parts = append(parts, fmt.Sprintf("%s:%d:%016x", n, s.n, s.digest))
-		s.mu.Unlock()
+		parts = append(parts, fmt.Sprintf("%s:%d:%016x", n, s.n.Load(), s.digest.Load()))
 	}
 	return strings.Join(parts, " ")
 }

@@ -119,7 +119,7 @@ func mfpAfter(ctx *PlacementContext, p torus.Partition) (int, error) {
 		// the hypothetical state comes from the probe overlay, keyed by
 		// the exact hash a real allocation would produce.
 		if !gr.Geometry().ValidPartition(p) || !gr.PartitionFree(p) {
-			return 0, fmt.Errorf("core: probe allocation of %v failed: partition invalid or not free", p)
+			return 0, errProbe(p)
 		}
 		_, size := ctx.MFP.MaxFreeProbe(gr, p)
 		return size, nil
@@ -132,6 +132,12 @@ func mfpAfter(ctx *PlacementContext, p torus.Partition) (int, error) {
 		return 0, fmt.Errorf("core: probe release of %v failed: %w", p, err)
 	}
 	return size, nil
+}
+
+// errProbe is the error for a candidate a probe allocation refuses:
+// invalid on the grid's geometry or not entirely free.
+func errProbe(p torus.Partition) error {
+	return fmt.Errorf("core: probe allocation of %v failed: partition invalid or not free", p)
 }
 
 // Baseline is Krevat's placement heuristic: keep the maximal free
@@ -205,7 +211,15 @@ type Balancing struct {
 // Name implements Policy.
 func (b *Balancing) Name() string { return "balancing" }
 
-// Choose implements Policy.
+// Choose implements Policy. L_PF is computed first: MFPBefore is the
+// grid's MFP, so L_MFP >= 0 and E_loss >= L_PF (floating-point
+// addition of a non-negative term never rounds below the other term),
+// and a candidate whose L_PF alone reaches the best loss so far cannot
+// win, since a winner must be strictly lower. Such a candidate skips
+// its MFP probe but still gets the validity and freeness check the
+// probe would have made, so an inconsistent candidate is reported
+// whether or not it is pruned. The selection is identical to scoring
+// every candidate in full.
 func (b *Balancing) Choose(ctx *PlacementContext, cands []torus.Partition) (int, error) {
 	combine := b.Combine
 	if combine == nil {
@@ -219,13 +233,22 @@ func (b *Balancing) Choose(ctx *PlacementContext, cands []torus.Partition) (int,
 	best := -1
 	bestLoss := 0.0
 	for i, p := range cands {
+		if !g.ValidPartition(p) {
+			return -1, errProbe(p)
+		}
+		pf := partitionFailProbInto(ctx.floats, g, b.Prober, p, ctx.Now, until, combine)
+		lPF := pf * float64(ctx.Job.Size)
+		if best != -1 && lPF >= bestLoss {
+			if !ctx.Grid.PartitionFree(p) {
+				return -1, errProbe(p)
+			}
+			continue
+		}
 		after, err := mfpAfter(ctx, p)
 		if err != nil {
 			return -1, err
 		}
-		lMFP := float64(ctx.MFPBefore - after)
-		pf := partitionFailProbInto(ctx.floats, g, b.Prober, p, ctx.Now, until, combine)
-		loss := lMFP + pf*float64(ctx.Job.Size)
+		loss := float64(ctx.MFPBefore-after) + lPF
 		if best == -1 || loss < bestLoss {
 			best = i
 			bestLoss = loss

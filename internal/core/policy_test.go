@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -292,6 +293,239 @@ func TestFaultAwareDegenerateToBaseline(t *testing.T) {
 	}
 	if mustMFPAfter(t, gr, cands[tbIdx]) != mustMFPAfter(t, gr, cands[baseIdx]) {
 		t.Fatal("tie-break with null predictor diverged from baseline MFP")
+	}
+}
+
+// nodeProbs is a NodeProber with a fixed failure probability per node.
+type nodeProbs []float64
+
+func (p nodeProbs) NodeFailProb(node int, _, _ float64) float64 { return p[node] }
+
+// exhaustiveBalancing is the balancing argmin computed the plain way:
+// every candidate scored in full, its MFP found by allocating it,
+// running partition.MaxFree and releasing it.
+func exhaustiveBalancing(t *testing.T, gr *torus.Grid, j *job.Job, now float64, pol *Balancing, cands []torus.Partition) int {
+	t.Helper()
+	combine := pol.Combine
+	if combine == nil {
+		combine = predict.CombineIndependent
+	}
+	_, before := partition.MaxFree(gr)
+	best, bestLoss := -1, 0.0
+	for i, p := range cands {
+		if err := gr.Allocate(p, probeOwner); err != nil {
+			t.Fatal(err)
+		}
+		_, after := partition.MaxFree(gr)
+		if err := gr.Release(p, probeOwner); err != nil {
+			t.Fatal(err)
+		}
+		pf := PartitionFailProb(gr.Geometry(), pol.Prober, p, now, now+j.Estimate, combine)
+		loss := float64(before-after) + pf*float64(j.Size)
+		if best == -1 || loss < bestLoss {
+			best, bestLoss = i, loss
+		}
+	}
+	return best
+}
+
+// placementContexts returns the two ways a policy is primed: the bare
+// context (MFPBefore only; every probe allocates and releases) and the
+// scheduler's (MFPPart, maximal-rectangle shortcut and MFP cache).
+func placementContexts(t *testing.T, gr *torus.Grid, j *job.Job, now float64) map[string]*PlacementContext {
+	t.Helper()
+	s, err := NewScheduler(Config{Policy: Baseline{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*PlacementContext{"bare": ctxFor(gr, j, now), "scheduler": s.placementCtx(gr, j, now)}
+}
+
+// pocketGrid occupies the z<4 half of the machine except node (0,0,0):
+// a one-node pocket whose use costs no MFP (L_MFP = 0) beside a free
+// 4x4x4 block.
+func pocketGrid(t *testing.T) *torus.Grid {
+	t.Helper()
+	g := torus.BlueGeneL()
+	gr := torus.NewGrid(g)
+	for id := 0; id < g.N(); id++ {
+		if c := g.CoordOf(id); c.Z < 4 && c != (torus.Coord{}) {
+			if err := gr.Allocate(torus.Partition{Base: c, Shape: torus.Shape{X: 1, Y: 1, Z: 1}}, 99); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return gr
+}
+
+// The loss bound in Balancing.Choose must never change the choice:
+// over seeded random grids, candidate subsets in random order, node
+// probabilities (all zero, all equal, a few repeated values, or a
+// balancing predictor over a random failure trace) and both combiners,
+// Choose returns the exhaustive argmin's index under either context.
+// The tallies prove the draws reach the cases the bound is about: some
+// candidate's L_PF ties the running best exactly, some all-zero L_PF
+// set scores a later candidate strictly better, and the bound prunes.
+func TestBalancingMatchesExhaustiveArgmin(t *testing.T) {
+	g := torus.BlueGeneL()
+	rng := rand.New(rand.NewSource(20040426))
+	var sizes []int
+	for _, s := range g.FeasibleSizes() {
+		if s <= 32 {
+			sizes = append(sizes, s)
+		}
+	}
+	levels := []float64{0, 0.25, 0.5, 1}
+	var compared, ties, zeroBeaten, pruned int
+	for trial := 0; trial < 600; trial++ {
+		gr := torus.NewGrid(g)
+		fill := 0.8 * rng.Float64()
+		for id := 0; id < g.N(); id++ {
+			if rng.Float64() < fill {
+				if err := gr.Allocate(torus.Partition{Base: g.CoordOf(id), Shape: torus.Shape{X: 1, Y: 1, Z: 1}}, 99); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		size := sizes[rng.Intn(len(sizes))]
+		cands := partition.ShapeFinder{}.FreeOfSize(gr, size)
+		if len(cands) == 0 {
+			continue
+		}
+		rng.Shuffle(len(cands), func(a, b int) { cands[a], cands[b] = cands[b], cands[a] })
+		cands = cands[:1+rng.Intn(len(cands))]
+		j := &job.Job{ID: 1, Size: 1 + rng.Intn(size), AllocSize: size, Estimate: 1 + 2000*rng.Float64()}
+		now := 1000 * rng.Float64()
+
+		pol := &Balancing{}
+		if rng.Intn(2) == 1 {
+			pol.Combine = predict.CombineMax
+		}
+		probs := make(nodeProbs, g.N())
+		switch kind := trial % 4; kind {
+		case 0: // all zero
+		case 1, 2:
+			c := levels[rng.Intn(len(levels))]
+			for id := range probs {
+				if kind == 2 {
+					c = levels[rng.Intn(len(levels))]
+				}
+				probs[id] = c
+			}
+		case 3:
+			var tr failure.Trace
+			for k := rng.Intn(20); k > 0; k-- {
+				tr = append(tr, failure.Event{Time: 3000 * rng.Float64(), Node: rng.Intn(g.N())})
+			}
+			tr.Sort()
+			pol.Prober = &predict.Balancing{Index: failure.NewIndex(g.N(), tr), Confidence: levels[1+rng.Intn(3)]}
+		}
+		if pol.Prober == nil {
+			pol.Prober = probs
+		}
+
+		// Tally what the bound sees along the full scan.
+		combine := pol.Combine
+		if combine == nil {
+			combine = predict.CombineIndependent
+		}
+		_, before := partition.MaxFree(gr)
+		allZero, bestLoss := true, 0.0
+		for i, p := range cands {
+			lPF := PartitionFailProb(g, pol.Prober, p, now, now+j.Estimate, combine) * float64(j.Size)
+			allZero = allZero && lPF == 0
+			if i > 0 && lPF >= bestLoss {
+				pruned++
+				if lPF == bestLoss {
+					ties++
+				}
+			}
+			if loss := float64(before-mustMFPAfter(t, gr, p)) + lPF; i == 0 || loss < bestLoss {
+				bestLoss = loss
+			}
+		}
+		want := exhaustiveBalancing(t, gr, j, now, pol, cands)
+		if allZero && want > 0 {
+			zeroBeaten++
+		}
+
+		hash, free := gr.OccupancyHash(), gr.FreeCount()
+		for name, ctx := range placementContexts(t, gr, j, now) {
+			got, err := pol.Choose(ctx, cands)
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, name, err)
+			}
+			if got != want {
+				t.Fatalf("trial %d %s: Choose = %d, exhaustive argmin = %d (size %d, %d candidates)",
+					trial, name, got, want, size, len(cands))
+			}
+			if gr.OccupancyHash() != hash || gr.FreeCount() != free {
+				t.Fatalf("trial %d %s: Choose left the grid changed", trial, name)
+			}
+			compared++
+		}
+	}
+	t.Logf("%d comparisons, %d exact ties, %d all-zero L_PF sets won by a later candidate, %d pruned",
+		compared, ties, zeroBeaten, pruned)
+	if compared < 600 || ties == 0 || zeroBeaten == 0 || pruned == 0 {
+		t.Fatal("the draws miss a case the bound is about")
+	}
+}
+
+// The bound's two edge cases on a fixed grid, against the exhaustive
+// argmin: every candidate's L_PF equal to the running best (the pocket
+// wins and the rest are pruned on equality), and all-zero L_PF, where
+// a later candidate with a smaller L_MFP must still be probed and win.
+func TestBalancingBoundEdgeCases(t *testing.T) {
+	gr := pocketGrid(t)
+	pocket := torus.Partition{Shape: torus.Shape{X: 1, Y: 1, Z: 1}}
+	block := torus.Partition{Base: torus.Coord{Z: 4}, Shape: torus.Shape{X: 1, Y: 1, Z: 1}}
+	half := make(nodeProbs, gr.Geometry().N())
+	for id := range half {
+		half[id] = 0.5
+	}
+	j := testJob(1, 1, 100)
+	for _, tc := range []struct {
+		name   string
+		prober predict.NodeProber
+		cands  []torus.Partition
+		want   int
+	}{
+		{"equal L_PF, pocket first", half, []torus.Partition{pocket, block}, 0},
+		{"equal L_PF, pocket last", half, []torus.Partition{block, pocket}, 1},
+		{"zero L_PF, pocket first", predict.Null{}, []torus.Partition{pocket, block}, 0},
+		{"zero L_PF, pocket last", predict.Null{}, []torus.Partition{block, pocket}, 1},
+	} {
+		pol := &Balancing{Prober: tc.prober}
+		if ex := exhaustiveBalancing(t, gr, j, 0, pol, tc.cands); ex != tc.want {
+			t.Fatalf("%s: exhaustive argmin %d, want %d", tc.name, ex, tc.want)
+		}
+		for name, ctx := range placementContexts(t, gr, j, 0) {
+			if got := mustChoose(t, pol, ctx, tc.cands); got != tc.want {
+				t.Errorf("%s (%s context): Choose = %d, want %d", tc.name, name, got, tc.want)
+			}
+		}
+	}
+}
+
+// A candidate the bound prunes is never scored, but an inconsistent
+// one must still fail the decision: after the zero-loss pocket, a busy
+// or invalid candidate with zero L_PF makes Choose return an error
+// under either context (the scheduler's would otherwise have taken the
+// disjointness shortcut for the busy one without touching its nodes).
+func TestBalancingBoundStillChecksSkippedCandidates(t *testing.T) {
+	gr := pocketGrid(t)
+	pocket := torus.Partition{Shape: torus.Shape{X: 1, Y: 1, Z: 1}}
+	busy := torus.Partition{Base: torus.Coord{X: 1}, Shape: torus.Shape{X: 1, Y: 1, Z: 1}}
+	invalid := torus.Partition{Base: torus.Coord{X: 9}, Shape: torus.Shape{X: 1, Y: 1, Z: 1}}
+	pol := &Balancing{Prober: predict.Null{}}
+	j := testJob(1, 1, 100)
+	for _, bad := range []torus.Partition{busy, invalid} {
+		for name, ctx := range placementContexts(t, gr, j, 0) {
+			if idx, err := pol.Choose(ctx, []torus.Partition{pocket, bad}); err == nil {
+				t.Errorf("%v (%s context): Choose = %d with no error", bad, name, idx)
+			}
+		}
 	}
 }
 

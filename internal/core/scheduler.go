@@ -105,12 +105,12 @@ type Decision struct {
 //
 // The scheduler owns every buffer its decision loop needs — candidate
 // lists, the placement context, the EASY reservation's running-set and
-// scratch grid, the returned decision slice — plus a content-addressed
-// MFP cache, so a steady-state Schedule call performs no heap
-// allocations. The reuse is invisible in behaviour: decisions are
-// byte-identical to the allocate-per-call implementation. A Scheduler
-// is consequently not safe for concurrent use (it never was; the
-// simulator's event loop is single-threaded).
+// scratch grid, the returned decision slice, the no-fit memo — plus a
+// content-addressed MFP cache, so a steady-state Schedule call performs
+// no heap allocations. The reuse is invisible in behaviour: decisions
+// are byte-identical to the allocate-per-call implementation. A
+// Scheduler is consequently not safe for concurrent use (it never was;
+// the simulator's event loop is single-threaded).
 type Scheduler struct {
 	cfg Config
 	met schedMetrics
@@ -123,6 +123,33 @@ type Scheduler struct {
 	resRun   []Running          // running ∪ fresh starts, for the reservation
 	scratch  *torus.Grid        // reservation scratch (stable identity)
 	sorter   runningByExpFinish // reusable sort.Interface for the drain order
+	noFit    []uint8            // per-size no-fit memo of one Schedule call, indexed by size
+}
+
+// No-fit memo bits. Within one Schedule call the live grid only gains
+// occupancy (policy probes restore it; the reservation drains a
+// separate scratch grid), so the set of free partitions of any size
+// only shrinks. A size that had no free partition has none for the
+// rest of the call, and a size whose every free partition overlapped
+// the head's reservation stays that way, so later jobs of that size
+// skip the finder with the answer it would give. The memo is indexed
+// by size, not by an occupancy hash, so it cannot collide.
+const (
+	noFreePart  uint8 = 1 << iota // no free partition of this size
+	allReserved                   // every free partition of this size overlaps the reservation
+)
+
+// knownNoFit reports whether this Schedule call already learned one of
+// the facts in mask about partitions of size.
+func (s *Scheduler) knownNoFit(size int, mask uint8) bool {
+	return size > 0 && size < len(s.noFit) && s.noFit[size]&mask != 0
+}
+
+// rememberNoFit records fact for size for the rest of the call.
+func (s *Scheduler) rememberNoFit(size int, fact uint8) {
+	if size > 0 && size < len(s.noFit) {
+		s.noFit[size] |= fact
+	}
 }
 
 // runningByExpFinish sorts a Running slice by expected finish time.
@@ -201,6 +228,11 @@ func (s *Scheduler) Schedule(gr *torus.Grid, q *job.Queue, running []Running, no
 	sw := s.met.decision.Start()
 	defer sw.Stop()
 	s.started = s.started[:0]
+	if n := gr.Geometry().N() + 1; len(s.noFit) != n {
+		s.noFit = make([]uint8, n)
+	} else {
+		clear(s.noFit)
+	}
 
 	// Phase 1: strict FCFS from the head.
 	for q.Len() > 0 {
@@ -292,8 +324,12 @@ func (s *Scheduler) preferPlacement(gr *torus.Grid, cands []torus.Partition) {
 // tryStart attempts to place j now; on success the partition is
 // allocated and the decision returned.
 func (s *Scheduler) tryStart(gr *torus.Grid, j *job.Job, now float64) (Decision, bool, error) {
+	if s.knownNoFit(j.AllocSize, noFreePart) {
+		return Decision{}, false, nil
+	}
 	cands := s.freeOfSize(gr, j.AllocSize, &s.cands)
 	if len(cands) == 0 {
+		s.rememberNoFit(j.AllocSize, noFreePart)
 		return Decision{}, false, nil
 	}
 	s.preferPlacement(gr, cands)
@@ -386,12 +422,17 @@ func (s *Scheduler) reservation(gr *torus.Grid, head *job.Job, running []Running
 // start: either j is estimated to finish before the reservation time,
 // or its partition does not intersect the reserved partition.
 func (s *Scheduler) tryBackfill(gr *torus.Grid, j *job.Job, now float64, res reservationState) (Decision, bool, error) {
-	cands := s.freeOfSize(gr, j.AllocSize, &s.cands)
-	if len(cands) == 0 {
+	finishesInTime := now+j.Estimate <= res.Time
+	mustAvoid := !finishesInTime && res.ok // j must keep off the reserved partition
+	if s.knownNoFit(j.AllocSize, noFreePart) || mustAvoid && s.knownNoFit(j.AllocSize, allReserved) {
 		return Decision{}, false, nil
 	}
-	finishesInTime := now+j.Estimate <= res.Time
-	if !finishesInTime && res.ok {
+	cands := s.freeOfSize(gr, j.AllocSize, &s.cands)
+	if len(cands) == 0 {
+		s.rememberNoFit(j.AllocSize, noFreePart)
+		return Decision{}, false, nil
+	}
+	if mustAvoid {
 		// Filter in place: the candidate buffer is ours (buffered
 		// finder) or a fresh slice (plain finder), and the kept order is
 		// the original order either way.
@@ -404,6 +445,7 @@ func (s *Scheduler) tryBackfill(gr *torus.Grid, j *job.Job, now float64, res res
 		}
 		cands = filtered
 		if len(cands) == 0 {
+			s.rememberNoFit(j.AllocSize, allReserved)
 			return Decision{}, false, nil
 		}
 	}

@@ -385,3 +385,102 @@ func TestMigrateEmptyRunning(t *testing.T) {
 		t.Fatal("migrations from nothing")
 	}
 }
+
+// countingFinder is the shape finder counting the queries it answers
+// on one grid (the live one), per size; reservation probes on the
+// scheduler's scratch grid are not counted.
+type countingFinder struct {
+	partition.ShapeFinder
+	live  *torus.Grid
+	calls map[int]int
+}
+
+func (f *countingFinder) FreeOfSize(gr *torus.Grid, size int) []torus.Partition {
+	return f.FreeOfSizeInto(gr, size, nil)
+}
+
+func (f *countingFinder) FreeOfSizeInto(gr *torus.Grid, size int, buf []torus.Partition) []torus.Partition {
+	if gr == f.live {
+		f.calls[size]++
+	}
+	return f.ShapeFinder.FreeOfSizeInto(gr, size, buf)
+}
+
+// stripedGrid occupies the even z-planes with four running jobs that
+// are expected to finish at t=100..400, leaving 64 free nodes in
+// single-plane strips: a 16-node job fits, a 32-node one (every shape
+// of which spans two z-planes or more) does not, and a 128-node head
+// is reserved the whole machine at t=400.
+func stripedGrid(t *testing.T) (*torus.Grid, []Running) {
+	t.Helper()
+	gr := torus.NewGrid(torus.BlueGeneL())
+	var running []Running
+	for i := 0; i < 4; i++ {
+		j := testJob(90+i, 16, 100*float64(i+1))
+		p := torus.Partition{Base: torus.Coord{Z: 2 * i}, Shape: torus.Shape{X: 4, Y: 4, Z: 1}}
+		if err := gr.Allocate(p, int64(j.ID)); err != nil {
+			t.Fatal(err)
+		}
+		running = append(running, Running{Job: j, Part: p, ExpFinish: j.Estimate})
+	}
+	return gr, running
+}
+
+// The no-fit memo: behind a blocked head, N queued jobs of a size with
+// no free partition cost one live-grid finder query for that size per
+// Schedule call, not N, under both backfill modes; and under EASY a
+// size whose every free partition overlaps the reservation is not
+// re-queried for later long jobs, while a job of that size that
+// finishes before the reservation is still queried and backfilled.
+func TestScheduleNoFitMemo(t *testing.T) {
+	const n = 6
+	for _, mode := range []BackfillMode{BackfillAggressive, BackfillEASY} {
+		gr, running := stripedGrid(t)
+		f := &countingFinder{live: gr, calls: map[int]int{}}
+		s, err := NewScheduler(Config{Policy: Baseline{}, Finder: f, Backfill: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := job.NewQueue()
+		q.Push(testJob(1, 128, 1000))
+		for i := 0; i < n; i++ {
+			q.Push(testJob(10+i, 32, 1000))
+		}
+		for call := 1; call <= 2; call++ {
+			ds, err := s.Schedule(gr, q, running, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ds) != 0 {
+				t.Fatalf("%v: started %v, nothing fits", mode, ds)
+			}
+			if f.calls[32] != call || f.calls[128] != call {
+				t.Fatalf("%v: after %d Schedule calls, %d queries for size 32 and %d for 128, want %d each",
+					mode, call, f.calls[32], f.calls[128], call)
+			}
+		}
+	}
+
+	gr, running := stripedGrid(t)
+	f := &countingFinder{live: gr, calls: map[int]int{}}
+	s, err := NewScheduler(Config{Policy: Baseline{}, Finder: f, Backfill: BackfillEASY})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := job.NewQueue()
+	q.Push(testJob(1, 128, 1000)) // reserved the whole machine at t=400
+	q.Push(testJob(2, 16, 1000))  // fits, but only on the reservation: refused, memoized
+	q.Push(testJob(3, 16, 1000))  // same size and also long: answered by the memo
+	q.Push(testJob(4, 16, 50))    // same size, done by t=50: queried and started
+	q.Push(testJob(5, 16, 1000))  // long again: the memo still holds
+	ds, err := s.Schedule(gr, q, running, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds) != 1 || ds[0].Job.ID != 4 {
+		t.Fatalf("EASY started %v, want only job 4", ds)
+	}
+	if f.calls[16] != 2 {
+		t.Fatalf("%d live-grid queries for size 16, want 2 (jobs 2 and 4)", f.calls[16])
+	}
+}

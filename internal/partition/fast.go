@@ -53,10 +53,10 @@ type FastFinder struct {
 	grids   map[uint64]*fastGridState // derived occupancy, by Grid.ID()
 	gridAge []uint64                  // grid eviction order (FIFO)
 	results []resultSlot              // direct-mapped memoized candidates
-	shapes  map[shapesKey][]torus.Shape
 
 	// Enumeration scratch, reused across calls under mu so cache misses
 	// do not allocate in steady state.
+	shapes     []torus.Shape
 	freeZ      []int
 	tasks      []fastTask
 	bzBuf      []int
@@ -108,13 +108,6 @@ type resultSlot struct {
 	key   fastKey
 	parts []torus.Partition
 	used  bool
-}
-
-// shapesKey memoizes Geometry.ShapesOf, which is a pure function of
-// (geometry, size) but allocates on every call.
-type shapesKey struct {
-	geom torus.Geometry
-	size int
 }
 
 // fastGridState is the finder's derived view of one grid: per-column
@@ -241,21 +234,6 @@ type fastTask struct {
 	bzLo, bzHi int
 }
 
-// shapesOf memoizes ShapesOf per (geometry, size); the returned slice
-// is shared and must not be mutated.
-func (f *FastFinder) shapesOf(g torus.Geometry, size int) []torus.Shape {
-	k := shapesKey{geom: g, size: size}
-	if s, ok := f.shapes[k]; ok {
-		return s
-	}
-	if f.shapes == nil {
-		f.shapes = make(map[shapesKey][]torus.Shape)
-	}
-	s := g.ShapesOf(size)
-	f.shapes[k] = s
-	return s
-}
-
 // FreeOfSize implements Finder. The result is a fresh slice the caller
 // may keep or mutate.
 func (f *FastFinder) FreeOfSize(gr *torus.Grid, size int) []torus.Partition {
@@ -278,8 +256,8 @@ func (f *FastFinder) FreeOfSizeInto(gr *torus.Grid, size int, buf []torus.Partit
 func (f *FastFinder) freeOfSizeLocked(gr *torus.Grid, size int) []torus.Partition {
 	sw := f.Metrics.startTimer()
 	g := gr.Geometry()
-	shapes := f.shapesOf(g, size)
-	if len(shapes) == 0 {
+	f.shapes = g.AppendShapesOf(f.shapes[:0], size)
+	if len(f.shapes) == 0 {
 		f.Metrics.noShapes(sw)
 		return nil
 	}
@@ -303,7 +281,7 @@ func (f *FastFinder) freeOfSizeLocked(gr *torus.Grid, size int) []torus.Partitio
 	slot.parts = slot.parts[:0]
 	bases, rejects := 0, 0
 	if gr.FreeCount() >= size { // fewer free nodes than requested: no candidate exists
-		slot.parts, bases, rejects = f.enumerate(gr, st, shapes, slot.parts)
+		slot.parts, bases, rejects = f.enumerate(gr, st, f.shapes, slot.parts)
 	}
 	f.Metrics.observe(sw, len(slot.parts), bases, rejects)
 	return slot.parts

@@ -172,6 +172,37 @@ func TestFreeOfSizeOnFullMachine(t *testing.T) {
 	}
 }
 
+// Every BufferedFinder answers FreeOfSizeInto with exactly what
+// FreeOfSize returns, whatever the buffer held before, and the shape
+// finder does so without allocating once its buffer has grown.
+func TestFreeOfSizeIntoMatchesFreeOfSize(t *testing.T) {
+	g := torus.BlueGeneL()
+	junk := torus.Partition{Base: torus.Coord{X: 3}, Shape: torus.Shape{X: 9, Y: 9, Z: 9}}
+	buf := make([]torus.Partition, 0, 4)
+	for _, f := range finders {
+		bf, ok := f.(BufferedFinder)
+		if !ok {
+			continue
+		}
+		for seed := int64(0); seed < 8; seed++ {
+			gr := randomGrid(t, g, float64(seed)/8, 700+seed)
+			for _, size := range []int{1, 2, 8, 16, 32, 64, 128} {
+				want := f.FreeOfSize(gr, size)
+				buf = bf.FreeOfSizeInto(gr, size, append(buf[:0], junk, junk))
+				if len(buf) != len(want) || len(want) > 0 && !reflect.DeepEqual(buf, want) {
+					t.Fatalf("%s seed=%d size=%d: FreeOfSizeInto gave %d parts, FreeOfSize %d",
+						f.Name(), seed, size, len(buf), len(want))
+				}
+			}
+		}
+	}
+	gr := randomGrid(t, g, 0.3, 7)
+	buf = ShapeFinder{}.FreeOfSizeInto(gr, 8, buf)
+	if n := testing.AllocsPerRun(20, func() { buf = ShapeFinder{}.FreeOfSizeInto(gr, 8, buf) }); n != 0 {
+		t.Errorf("shape finder allocates %v times per buffered query", n)
+	}
+}
+
 func TestMaxFreeMatchesNaive(t *testing.T) {
 	for _, wrap := range []bool{true, false} {
 		g := torus.NewGeometry(4, 4, 8, wrap)

@@ -12,6 +12,9 @@ import (
 // early using run-length information built lazily, on an as-needed
 // basis. On an empty torus the cost is O(M^3 * f(s)^3) where f(s) is
 // the divisor count of s, versus O(M^9) naive and O(M^5) for POP.
+// A query on a grid with fewer free nodes than s returns at once, and
+// a BufferedFinder query allocates nothing once the reused scratch and
+// the caller's buffer have grown.
 type ShapeFinder struct {
 	// Metrics, when non-nil, receives per-call search-cost telemetry.
 	Metrics *Metrics
@@ -20,29 +23,71 @@ type ShapeFinder struct {
 // Name implements Finder.
 func (ShapeFinder) Name() string { return "shape" }
 
-// shapeScratch holds the lazily built run-length tables; pooled because
-// the scheduler calls FreeOfSize on every placement attempt.
+// shapeScratch holds the lazily built run-length tables and the shape
+// list; reused because the scheduler queries the finder on every
+// placement attempt.
 type shapeScratch struct {
 	runs    []int
 	haveCol []bool
+	shapes  []torus.Shape
 }
 
-var shapePool = sync.Pool{New: func() any { return new(shapeScratch) }}
+// shapeScratches is the free list of shapeScratch, one per concurrent
+// query at most. A sync.Pool would not do: it empties at garbage
+// collection and, under the race detector, drops entries at random, so
+// buffered queries would allocate.
+var shapeScratches struct {
+	mu   sync.Mutex
+	free []*shapeScratch
+}
+
+// getShapeScratch takes a scratch off the free list, or makes one.
+func getShapeScratch() *shapeScratch {
+	shapeScratches.mu.Lock()
+	defer shapeScratches.mu.Unlock()
+	n := len(shapeScratches.free)
+	if n == 0 {
+		return new(shapeScratch)
+	}
+	sc := shapeScratches.free[n-1]
+	shapeScratches.free = shapeScratches.free[:n-1]
+	return sc
+}
+
+// putShapeScratch returns sc to the free list.
+func putShapeScratch(sc *shapeScratch) {
+	shapeScratches.mu.Lock()
+	shapeScratches.free = append(shapeScratches.free, sc)
+	shapeScratches.mu.Unlock()
+}
 
 // FreeOfSize implements Finder.
 func (f ShapeFinder) FreeOfSize(gr *torus.Grid, size int) []torus.Partition {
+	return f.FreeOfSizeInto(gr, size, nil)
+}
+
+// FreeOfSizeInto implements BufferedFinder: FreeOfSize appending into
+// buf[:0], so a caller that reuses its buffer queries without
+// allocating.
+func (f ShapeFinder) FreeOfSizeInto(gr *torus.Grid, size int, buf []torus.Partition) []torus.Partition {
 	sw := f.Metrics.startTimer()
 	g := gr.Geometry()
 	dims := g.Dims
-	shapes := g.ShapesOf(size)
-	if len(shapes) == 0 {
+	out := buf[:0]
+
+	sc := getShapeScratch()
+	defer putShapeScratch(sc)
+	sc.shapes = g.AppendShapesOf(sc.shapes[:0], size)
+	if len(sc.shapes) == 0 {
 		f.Metrics.noShapes(sw)
-		return nil
+		return out
+	}
+	if gr.FreeCount() < size { // fewer free nodes than requested: no candidate exists
+		f.Metrics.observe(sw, 0, 0, 0)
+		return out
 	}
 	bases, rejects := 0, 0
 
-	sc := shapePool.Get().(*shapeScratch)
-	defer shapePool.Put(sc)
 	plane := dims.X * dims.Y
 	if cap(sc.runs) < g.N() {
 		sc.runs = make([]int, g.N())
@@ -69,8 +114,7 @@ func (f ShapeFinder) FreeOfSize(gr *torus.Grid, size int) []torus.Partition {
 		return runs[base : base+dims.Z]
 	}
 
-	var out []torus.Partition
-	for _, shape := range shapes {
+	for _, shape := range sc.shapes {
 		rx := baseRange(dims.X, shape.X, g.Wrap)
 		ry := baseRange(dims.Y, shape.Y, g.Wrap)
 		rz := baseRange(dims.Z, shape.Z, g.Wrap)

@@ -101,9 +101,15 @@ func (g Geometry) Overlaps(p, q Partition) bool {
 // distinct shapes (1x2x4 and 4x2x1 are both returned). This is the set
 // SHAPES of the paper's Appendix 9.
 func (g Geometry) ShapesOf(size int) []Shape {
-	var shapes []Shape
+	return g.AppendShapesOf(nil, size)
+}
+
+// AppendShapesOf appends the shapes ShapesOf(size) returns, in the same
+// order, to buf and returns the extended slice. Finders pass a reused
+// buffer so a query enumerates its shapes without allocating.
+func (g Geometry) AppendShapesOf(buf []Shape, size int) []Shape {
 	if size < 1 || size > g.N() {
-		return nil
+		return buf
 	}
 	for x := 1; x <= g.Dims.X; x++ {
 		if size%x != 0 {
@@ -116,11 +122,11 @@ func (g Geometry) ShapesOf(size int) []Shape {
 			}
 			z := rest / y
 			if z >= 1 && z <= g.Dims.Z {
-				shapes = append(shapes, Shape{x, y, z})
+				buf = append(buf, Shape{x, y, z})
 			}
 		}
 	}
-	return shapes
+	return buf
 }
 
 // FeasibleSizes returns, in increasing order, every partition size that

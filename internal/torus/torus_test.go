@@ -289,6 +289,30 @@ func TestShapesOfEdgeCases(t *testing.T) {
 	}
 }
 
+// AppendShapesOf keeps whatever buf already holds, appends exactly
+// ShapesOf(size) in order, and allocates nothing once buf is big enough.
+func TestAppendShapesOf(t *testing.T) {
+	for _, g := range []Geometry{BlueGeneL(), NewGeometry(3, 5, 2, false)} {
+		prefix := Shape{9, 9, 9}
+		buf := make([]Shape, 0, 64)
+		for size := -1; size <= g.N()+1; size++ {
+			buf = g.AppendShapesOf(append(buf[:0], prefix), size)
+			want := g.ShapesOf(size)
+			if len(buf) != 1+len(want) || buf[0] != prefix {
+				t.Fatalf("%v size %d: got %v, want %v after the prefix", g.Dims, size, buf, want)
+			}
+			for i, s := range want {
+				if buf[1+i] != s {
+					t.Fatalf("%v size %d: shape %d = %v, want %v", g.Dims, size, i, buf[1+i], s)
+				}
+			}
+		}
+		if n := testing.AllocsPerRun(20, func() { buf = g.AppendShapesOf(buf[:0], 8) }); n != 0 {
+			t.Errorf("%v: AppendShapesOf into a large enough buffer allocates %v times", g.Dims, n)
+		}
+	}
+}
+
 func TestFeasibleSizesAndRoundUp(t *testing.T) {
 	g := BlueGeneL()
 	sizes := g.FeasibleSizes()
