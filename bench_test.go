@@ -164,7 +164,7 @@ func BenchmarkFastFinderCold(b *testing.B) {
 	gr := fastBenchGrid(b)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		f := partition.NewFastFinder(0)
+		f := partition.NewFastFinder()
 		b.StartTimer()
 		f.FreeOfSize(gr, 8)
 	}
@@ -178,7 +178,7 @@ func BenchmarkFastFinderCold(b *testing.B) {
 func BenchmarkFastFinderWarm(b *testing.B) {
 	gr := fastBenchGrid(b)
 	b.Run("fast", func(b *testing.B) {
-		f := partition.NewFastFinder(0)
+		f := partition.NewFastFinder()
 		f.FreeOfSize(gr, 8) // populate the cache
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -191,50 +191,6 @@ func BenchmarkFastFinderWarm(b *testing.B) {
 			f.FreeOfSize(gr, 8)
 		}
 	})
-}
-
-// BenchmarkFastFinderParallel measures raw enumeration with and
-// without the worker pool — a fresh finder per iteration so the memo
-// cache never answers (a toggled-cell scheme would not work: state
-// recurrence means alternating occupancies re-hit the cache). The
-// paper's 4x4x8 view enumerates in microseconds, where pool overhead
-// dominates, so the pool is also measured on an 8x8x8 machine with a
-// large request, where the task list is wide enough to split.
-func BenchmarkFastFinderParallel(b *testing.B) {
-	for _, tc := range []struct {
-		spec string
-		size int
-	}{
-		{"4x4x8", 8},
-		{"8x8x8", 64},
-	} {
-		g, err := torus.Parse(tc.spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gr := torus.NewGrid(g)
-		rng := rand.New(rand.NewSource(7))
-		owner := int64(1)
-		for id := 0; id < g.N(); id++ {
-			if rng.Float64() < 0.5 {
-				p := torus.Partition{Base: g.CoordOf(id), Shape: torus.Shape{X: 1, Y: 1, Z: 1}}
-				if err := gr.Allocate(p, owner); err != nil {
-					b.Fatal(err)
-				}
-				owner++
-			}
-		}
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/size%d/workers=%d", tc.spec, tc.size, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					f := partition.NewFastFinder(workers)
-					b.StartTimer()
-					f.FreeOfSize(gr, tc.size)
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkSchedulerDecision measures one Schedule() call — the
@@ -580,7 +536,7 @@ func BenchmarkKernelSteadyState(b *testing.B) {
 // enumeration at every scheduling decision.
 func BenchmarkAnnealFinder(b *testing.B) {
 	gr := fastBenchGrid(b)
-	f := partition.NewAnnealFinder(7, 0)
+	f := partition.NewAnnealFinder(7)
 	cands := f.FreeOfSize(gr, 8)
 	if len(cands) < 2 {
 		b.Fatalf("degenerate candidate set: %d", len(cands))

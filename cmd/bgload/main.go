@@ -255,7 +255,9 @@ func buildSchedule(o options) ([]experiments.RunConfig, []schedOp) {
 // run ids for read ops, and the per-config summary fingerprints for
 // the corruption check.
 type fleetState struct {
-	next atomic.Int64
+	next      atomic.Int64
+	cacheHits atomic.Int64 // runs answered with X-Cache: hit
+	chaosSeen atomic.Int64 // runs answered with an X-Chaos header
 
 	mu        sync.Mutex
 	doneIDs   []string
@@ -320,11 +322,6 @@ func soak(ctx context.Context, o options, baseURL string) (*report, error) {
 		opRun:    reg.Histogram("bgload.run.seconds"),
 		opFigure: reg.Histogram("bgload.figure.seconds"),
 	}
-	// Striped across the fleet: every client increments its own cache
-	// line instead of contending on one atomic.
-	cacheHits := telemetry.NewShardedCounter(o.clients)
-	chaosSeen := telemetry.NewShardedCounter(o.clients)
-
 	var wg sync.WaitGroup
 	for ci := 0; ci < o.clients; ci++ {
 		wg.Add(1)
@@ -342,7 +339,7 @@ func soak(ctx context.Context, o options, baseURL string) (*report, error) {
 				op := ops[idx]
 				opCtx, cancel := context.WithTimeout(ctx, o.opTimeout)
 				start := time.Now()
-				err := doOp(opCtx, cl, op, pool, st, cacheHits.Stripe(ci), chaosSeen.Stripe(ci))
+				err := doOp(opCtx, cl, op, pool, st)
 				cancel()
 				if err != nil {
 					st.recordFailure(op.kind, err)
@@ -360,8 +357,8 @@ func soak(ctx context.Context, o options, baseURL string) (*report, error) {
 	rep := &report{
 		Requests:  o.requests,
 		Failures:  int(st.failCount),
-		CacheHits: cacheHits.Value(),
-		ChaosSeen: chaosSeen.Value(),
+		CacheHits: st.cacheHits.Load(),
+		ChaosSeen: st.chaosSeen.Load(),
 		Corruption: corruptionReport{
 			Configs:    len(st.summaries),
 			Mismatches: st.corrupt,
@@ -387,8 +384,7 @@ func soak(ctx context.Context, o options, baseURL string) (*report, error) {
 }
 
 // doOp executes one scheduled operation.
-func doOp(ctx context.Context, cl *client.Client, op schedOp, pool []experiments.RunConfig,
-	st *fleetState, cacheHits, chaosSeen *telemetry.Stripe) error {
+func doOp(ctx context.Context, cl *client.Client, op schedOp, pool []experiments.RunConfig, st *fleetState) error {
 	switch op.kind {
 	case opRun:
 		v, hdr, err := cl.DoHeaders(ctx, http.MethodPost, "/v1/runs?wait=1", pool[op.cfg])
@@ -396,10 +392,10 @@ func doOp(ctx context.Context, cl *client.Client, op schedOp, pool []experiments
 			return err
 		}
 		if hdr.Get("X-Cache") == "hit" {
-			cacheHits.Inc()
+			st.cacheHits.Add(1)
 		}
 		if hdr.Get("X-Chaos") != "" {
-			chaosSeen.Inc()
+			st.chaosSeen.Add(1)
 		}
 		if v.State != service.StateDone {
 			return fmt.Errorf("run finished %s: %s", v.State, v.Error)

@@ -60,10 +60,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		downtime  = fs.Float64("downtime", 0, "seconds a failed node stays out of service")
 		seed      = fs.Int64("seed", 1, "random seed for workload and failure generation")
 
-		finder        = fs.String("finder", "shape", "partition search algorithm: naive, pop, shape, fast (cached fast path; identical decisions, lower cost) or anneal (communication-aware placement)")
-		finderWorkers = fs.Int("finder-workers", 0, "fast/anneal finder's parallel enumeration workers (<=1 sequential; ignored by other finders)")
-		annealSeed    = fs.Int64("anneal-seed", 0, "seed for the anneal finder's placement search (must be >= 0; ignored by other finders)")
-		cont          = fs.String("contention", "off", "network-contention preset: off, low, medium or high")
+		finder     = fs.String("finder", "shape", "partition search algorithm: naive, pop, shape, fast (cached fast path; identical decisions, lower cost) or anneal (communication-aware placement)")
+		annealSeed = fs.Int64("anneal-seed", 0, "seed for the anneal finder's placement search (must be >= 0; ignored by other finders)")
+		cont       = fs.String("contention", "off", "network-contention preset: off, low, medium or high")
 
 		ckptInterval = fs.Float64("ckpt-interval", 0, "periodic checkpoint interval seconds (0 = off)")
 		ckptPredict  = fs.Bool("ckpt-predictive", false, "use prediction-triggered checkpointing")
@@ -91,6 +90,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	obs := telemetry.RegisterCLIFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *a < 0 || *a > 1 {
+		return fmt.Errorf("-a must be in [0, 1], got %g (run with -h for usage)", *a)
+	}
+	if *branchA > 1 {
+		return fmt.Errorf("-branch-a must be in [0, 1], got %g (run with -h for usage)", *branchA)
 	}
 	if *annealSeed < 0 {
 		return fmt.Errorf("-anneal-seed must be non-negative, got %d (run with -h for usage)", *annealSeed)
@@ -125,7 +130,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Downtime:       *downtime,
 		Seed:           *seed,
 		Finder:         *finder,
-		FinderWorkers:  *finderWorkers,
 		AnnealSeed:     *annealSeed,
 		Contention:     *cont,
 

@@ -50,7 +50,6 @@ func TestBgsimFinderFlagInvariant(t *testing.T) {
 	}
 	for _, args := range [][]string{
 		{"-finder", "fast"},
-		{"-finder", "fast", "-finder-workers", "4"},
 		{"-finder", "pop"},
 	} {
 		var got bytes.Buffer
@@ -78,6 +77,34 @@ func TestBgsimBadFlags(t *testing.T) {
 		var buf bytes.Buffer
 		if err := run(context.Background(), args, &buf); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
+// -a is the paper's confidence/accuracy, a probability, and so is
+// -branch-a unless negative ("keep the parent's"). Out-of-range values
+// are refused before the build runs, in the service's wording; the
+// bounds themselves are accepted.
+func TestBgsimRejectsOutOfRangeA(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // error substring; empty means accepted
+	}{
+		{[]string{"-a", "7"}, "-a must be in [0, 1], got 7"},
+		{[]string{"-a", "-3"}, "-a must be in [0, 1], got -3"},
+		{[]string{"-a", "1.01"}, "-a must be in [0, 1], got 1.01"},
+		{[]string{"-branch-a", "1.5"}, "-branch-a must be in [0, 1], got 1.5"},
+		{[]string{"-a", "0"}, ""},
+		{[]string{"-a", "1"}, ""},
+		{[]string{"-branch-a", "-2"}, ""},
+	} {
+		args := append(tc.args, "-jobs", "10", "-sched", "balancing", "-failures", "100")
+		err := run(context.Background(), args, &bytes.Buffer{})
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%v refused: %v", tc.args, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
 		}
 	}
 }

@@ -66,11 +66,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		resume  = fs.String("resume", "", "resume from this journal: skip its completed points, append new ones")
 		check   = fs.Bool("check", false, "validate simulator conservation invariants at every event")
 
-		finder        = fs.String("finder", "", "partition search algorithm for every sweep point: naive, pop, shape, fast or anneal (empty = shape default)")
-		finderWorkers = fs.Int("finder-workers", 0, "fast/anneal finder's parallel enumeration workers (<=1 sequential)")
-		annealSeed    = fs.Int64("anneal-seed", 0, "anneal finder placement-search seed for every sweep point (must be >= 0; 0 keeps per-point defaults)")
-		cont          = fs.String("contention", "", "network-contention preset for every sweep point: off, low, medium or high (empty = off)")
-		tournament    = fs.Bool("tournament", false, "run the placement-policy tournament (every finder x workload x contention) instead of -fig")
+		finder     = fs.String("finder", "", "partition search algorithm for every sweep point: naive, pop, shape, fast or anneal (empty = shape default)")
+		annealSeed = fs.Int64("anneal-seed", 0, "anneal finder placement-search seed for every sweep point (must be >= 0; 0 keeps per-point defaults)")
+		cont       = fs.String("contention", "", "network-contention preset for every sweep point: off, low, medium or high (empty = off)")
+		tournament = fs.Bool("tournament", false, "run the placement-policy tournament (every finder x workload x contention) instead of -fig")
 
 		traceDir = fs.String("trace-dir", "", "write one NDJSON causal trace per sweep point into this directory")
 		flight   = fs.Int("flight", 0, "kernel flight recorder of the last N events per in-flight point, dumped to stderr on invariant violation, contained panic or SIGQUIT (0 = off)")
@@ -99,7 +98,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	manifest.Seed = *seed
 
 	if *finder != "" {
-		if _, err := partition.ByName(*finder, *finderWorkers); err != nil {
+		if _, err := partition.ByName(*finder, *annealSeed); err != nil {
 			return err
 		}
 	}
@@ -114,8 +113,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	eng := &experiments.Engine{
 		Ctx: ctx, Workers: *workers, Retries: *retries,
 		Isolate: true, CheckInvariants: *check,
-		Finder: *finder, FinderWorkers: *finderWorkers,
-		AnnealSeed: *annealSeed, Contention: *cont,
+		Finder: *finder, AnnealSeed: *annealSeed, Contention: *cont,
 		TraceDir: *traceDir, FlightEvents: *flight,
 	}
 	if *flight > 0 {
@@ -347,8 +345,8 @@ func finderComparison(out io.Writer) error {
 				for _, f := range finders {
 					fmt.Fprintf(out, " %12d", timeFinder(f, gr, size))
 				}
-				cold := timeOp(func() { partition.NewFastFinder(0).FreeOfSize(gr, size) })
-				warm := partition.NewFastFinder(0)
+				cold := timeOp(func() { partition.NewFastFinder().FreeOfSize(gr, size) })
+				warm := partition.NewFastFinder()
 				warm.FreeOfSize(gr, size) // populate the cache
 				fmt.Fprintf(out, " %12d %12d\n", cold,
 					timeOp(func() { warm.FreeOfSize(gr, size) }))

@@ -55,7 +55,7 @@ func TestBgsweepFinderFlagInvariant(t *testing.T) {
 	if err := run(context.Background(), base, &want); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), append([]string{"-finder", "fast", "-finder-workers", "2"}, base...), &got); err != nil {
+	if err := run(context.Background(), append([]string{"-finder", "fast"}, base...), &got); err != nil {
 		t.Fatal(err)
 	}
 	stripTiming := func(s string) string {

@@ -54,7 +54,7 @@ func goldenTrace() failure.Trace {
 // goldenEventLog replays the golden workload and failure trace with the
 // named finder and returns the full JSONL event log. Jobs are rebuilt
 // per run because the simulator mutates them.
-func goldenEventLog(t *testing.T, finderName string, workers int) string {
+func goldenEventLog(t *testing.T, finderName string) string {
 	t.Helper()
 	g := torus.BlueGeneL()
 	log, err := workload.ReadSWF(strings.NewReader(goldenSWF), "golden")
@@ -65,7 +65,7 @@ func goldenEventLog(t *testing.T, finderName string, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	finder, err := partition.ByName(finderName, workers)
+	finder, err := partition.ByName(finderName, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,23 +109,15 @@ func goldenEventLog(t *testing.T, finderName string, workers int) string {
 // never in decisions. A divergence here means a finder returned a
 // different candidate set somewhere in the run.
 func TestGoldenEventLogIdenticalAcrossFinders(t *testing.T) {
-	ref := goldenEventLog(t, "shape", 0)
+	ref := goldenEventLog(t, "shape")
 	if !strings.Contains(ref, `"kind":"start"`) || !strings.Contains(ref, `"kind":"kill"`) {
 		t.Fatalf("golden log is missing expected event kinds:\n%.600s", ref)
 	}
-	for _, tc := range []struct {
-		finder  string
-		workers int
-	}{
-		{"naive", 0},
-		{"pop", 0},
-		{"fast", 0},
-		{"fast", 4},
-	} {
-		got := goldenEventLog(t, tc.finder, tc.workers)
+	for _, finder := range []string{"naive", "pop", "fast"} {
+		got := goldenEventLog(t, finder)
 		if got != ref {
-			t.Errorf("finder %s (workers=%d) produced a different event log (%d vs %d bytes)",
-				tc.finder, tc.workers, len(got), len(ref))
+			t.Errorf("finder %s produced a different event log (%d vs %d bytes)",
+				finder, len(got), len(ref))
 		}
 	}
 }
@@ -135,8 +127,8 @@ func TestGoldenEventLogIdenticalAcrossFinders(t *testing.T) {
 // byte-identical, otherwise the cross-finder comparison above could
 // never fail meaningfully.
 func TestGoldenEventLogIsDeterministic(t *testing.T) {
-	a := goldenEventLog(t, "fast", 4)
-	b := goldenEventLog(t, "fast", 4)
+	a := goldenEventLog(t, "fast")
+	b := goldenEventLog(t, "fast")
 	if a != b {
 		t.Fatal("same configuration replayed twice produced different event logs")
 	}

@@ -232,7 +232,7 @@ func (b *Builder) Build(cfg RunConfig) (sim.Config, *Artifacts, error) {
 	if err != nil {
 		return sim.Config{}, nil, err
 	}
-	finder, err := partition.ByNameSeeded(cfg.Finder, cfg.FinderWorkers, cfg.AnnealSeed)
+	finder, err := partition.ByName(cfg.Finder, cfg.AnnealSeed)
 	if err != nil {
 		return sim.Config{}, nil, err
 	}

@@ -1,10 +1,10 @@
 package build
 
 import (
-	"container/list"
 	"sync"
 
 	"bgsched/internal/job"
+	"bgsched/internal/lru"
 )
 
 // DefaultCacheCapacity bounds the process-wide artifact cache. Entries
@@ -27,20 +27,13 @@ const DefaultCacheCapacity = 256
 // clones.
 type Cache struct {
 	mu       sync.Mutex
-	cap      int
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
+	items    *lru.Cache[string, any]
 	inflight map[string]*flight
 	// jobPool recycles run-private job-slice clones, keyed by the jobs
 	// stage key. A sweep rebuilding the same workload point reuses the
 	// previous run's clone (re-initialised from the cached master)
 	// instead of allocating a fresh slice of job structs per run.
 	jobPool map[string][][]*job.Job
-}
-
-type cacheEntry struct {
-	key string
-	val any
 }
 
 // flight is one in-progress computation; waiters block on done.
@@ -57,9 +50,7 @@ func NewCache(capacity int) *Cache {
 		capacity = DefaultCacheCapacity
 	}
 	return &Cache{
-		cap:      capacity,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
+		items:    lru.New[string, any](capacity),
 		inflight: make(map[string]*flight),
 		jobPool:  make(map[string][][]*job.Job),
 	}
@@ -78,9 +69,7 @@ var Shared = NewCache(DefaultCacheCapacity)
 // to every coalesced caller and nothing is inserted.
 func (c *Cache) GetOrCompute(key string, compute func() (any, error)) (val any, hit bool, err error) {
 	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		v := el.Value.(*cacheEntry).val
+	if v, ok := c.items.Get(key); ok {
 		c.mu.Unlock()
 		return v, true, nil
 	}
@@ -98,33 +87,18 @@ func (c *Cache) GetOrCompute(key string, compute func() (any, error)) (val any, 
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if f.err == nil {
-		c.addLocked(key, f.val)
+		c.items.Add(key, f.val)
 	}
 	c.mu.Unlock()
 	close(f.done)
 	return f.val, false, f.err
 }
 
-// addLocked inserts (or refreshes) key and evicts down to capacity.
-func (c *Cache) addLocked(key string, v any) {
-	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).val = v
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: v})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
-	}
-}
-
 // Len returns the number of cached artifacts.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.items.Len()
 }
 
 // Purge drops every cached artifact and pooled job clone (in-flight
@@ -133,8 +107,7 @@ func (c *Cache) Len() int {
 func (c *Cache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[string]*list.Element)
+	c.items.Purge()
 	c.jobPool = make(map[string][][]*job.Job)
 }
 

@@ -118,17 +118,14 @@ type RunConfig struct {
 	// Finder selects the free-partition search algorithm by name
 	// (partition.ByName): "naive", "pop", "shape" (default), "fast"
 	// (the cached fast path) or "anneal" (the communication-aware
-	// annealing placer). FinderWorkers bounds the fast/anneal finders'
-	// parallel enumeration pool; <= 1 keeps enumeration sequential.
-	// Every algorithm returns identical candidate sets; all but
-	// "anneal" also make identical choices, so for them this knob
-	// changes scheduling cost only, never scheduling decisions. The
-	// anneal finder additionally steers placement among policy-equal
-	// candidates, seeded by AnnealSeed.
-	Finder        string
-	FinderWorkers int
+	// annealing placer). Every algorithm returns identical candidate
+	// sets; all but "anneal" also make identical choices, so for them
+	// this knob changes scheduling cost only, never scheduling
+	// decisions. The anneal finder additionally steers placement among
+	// policy-equal candidates, seeded by AnnealSeed.
+	Finder string
 	// AnnealSeed seeds the "anneal" finder's stochastic placement
-	// search (partition.ByNameSeeded); ignored by the other finders.
+	// search (partition.ByName); ignored by the other finders.
 	// Part of the canonical config, since it changes decisions.
 	AnnealSeed int64
 

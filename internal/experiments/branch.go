@@ -28,7 +28,6 @@ type Branch struct {
 	Param         *float64      `json:"param,omitempty"`
 	CombineMax    *bool         `json:"combine_max,omitempty"`
 	Finder        string        `json:"finder,omitempty"`
-	FinderWorkers *int          `json:"finder_workers,omitempty"`
 	Migration     *bool         `json:"migration,omitempty"`
 	MigrationCost *float64      `json:"migration_cost,omitempty"`
 }
@@ -36,8 +35,7 @@ type Branch struct {
 // IsZero reports whether the branch changes nothing.
 func (b Branch) IsZero() bool {
 	return b.Scheduler == "" && b.Param == nil && b.CombineMax == nil &&
-		b.Finder == "" && b.FinderWorkers == nil && b.Migration == nil &&
-		b.MigrationCost == nil
+		b.Finder == "" && b.Migration == nil && b.MigrationCost == nil
 }
 
 // Apply overlays the branch onto the parent configuration and returns
@@ -55,9 +53,6 @@ func (b Branch) Apply(parent RunConfig) RunConfig {
 	}
 	if b.Finder != "" {
 		cfg.Finder = b.Finder
-	}
-	if b.FinderWorkers != nil {
-		cfg.FinderWorkers = *b.FinderWorkers
 	}
 	if b.Migration != nil {
 		cfg.Migration = *b.Migration

@@ -59,10 +59,8 @@ type Engine struct {
 	CheckInvariants bool
 	// Finder selects the free-partition search algorithm for every
 	// point of the sweep (see RunConfig.Finder); empty keeps each
-	// point's own setting (normally the shape default). FinderWorkers
-	// bounds the fast finder's enumeration pool per point.
-	Finder        string
-	FinderWorkers int
+	// point's own setting (normally the shape default).
+	Finder string
 	// AnnealSeed seeds the "anneal" finder's placement search for every
 	// point of the sweep (RunConfig.AnnealSeed); 0 keeps each point's
 	// own seed. Contention, when non-empty, selects the network-
@@ -180,7 +178,6 @@ func (e *Engine) runPoints(figure string, pts []point) error {
 			}
 			if e.Finder != "" {
 				p.cfg.Finder = e.Finder
-				p.cfg.FinderWorkers = e.FinderWorkers
 			}
 			if e.AnnealSeed != 0 {
 				p.cfg.AnnealSeed = e.AnnealSeed

@@ -1,0 +1,53 @@
+package lru
+
+import "testing"
+
+func TestLRUCacheEviction(t *testing.T) {
+	c := New[string, int](2)
+
+	if ev := c.Add("a", 1); ev != 0 {
+		t.Fatalf("add a evicted %d", ev)
+	}
+	c.Add("b", 2)
+	if got, ok := c.Get("a"); !ok || got != 1 { // touch "a": "b" becomes LRU
+		t.Fatalf("get a = %d, %v", got, ok)
+	}
+	if ev := c.Add("c", 3); ev != 1 {
+		t.Fatalf("add c evicted %d, want 1", ev)
+	}
+	if _, ok := c.Get("b"); ok {
+		t.Fatal("LRU entry b survived eviction")
+	}
+	if a, _ := c.Get("a"); a != 1 {
+		t.Fatal("recently used entry a was evicted")
+	}
+	if v, _ := c.Get("c"); v != 3 {
+		t.Fatal("recently used entry c was evicted")
+	}
+	if c.Len() != 2 {
+		t.Fatalf("len = %d, want 2", c.Len())
+	}
+
+	// Refreshing an existing key replaces the value without eviction.
+	if ev := c.Add("a", 10); ev != 0 {
+		t.Fatalf("refresh evicted %d", ev)
+	}
+	if v, _ := c.Get("a"); v != 10 {
+		t.Fatalf("refresh: got %d, want 10", v)
+	}
+	c.Remove("a")
+	if _, ok := c.Get("a"); ok || c.Len() != 1 {
+		t.Fatal("remove did not drop the entry")
+	}
+	c.Remove("a") // absent: no-op
+
+	c.Purge()
+	if _, ok := c.Get("c"); ok || c.Len() != 0 {
+		t.Fatal("purge left entries behind")
+	}
+	c.Add("d", 4)
+	c.Add("e", 5)
+	if ev := c.Add("f", 6); ev != 1 || c.Len() != 2 {
+		t.Fatalf("after purge: evicted=%d len=%d, want 1 and 2", ev, c.Len())
+	}
+}

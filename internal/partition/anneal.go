@@ -33,18 +33,16 @@ type Placer interface {
 type AnnealFinder struct {
 	inner *FastFinder
 	seed  int64
-	// Steps bounds the annealing walk per placement. The default (48)
-	// comfortably covers the paper's 4x4x8 candidate sets; raising it
-	// trades scheduler time for placement quality on bigger machines.
-	Steps int
 }
 
+// annealSteps bounds the annealing walk per placement; it comfortably
+// covers the paper's 4x4x8 candidate sets.
+const annealSteps = 48
+
 // NewAnnealFinder builds the annealing finder. seed steers the
-// stochastic placement search (same seed = same placements); workers
-// bounds the embedded fast finder's parallel enumeration pool exactly
-// as in NewFastFinder.
-func NewAnnealFinder(seed int64, workers int) *AnnealFinder {
-	return &AnnealFinder{inner: NewFastFinder(workers), seed: seed, Steps: 48}
+// stochastic placement search (same seed = same placements).
+func NewAnnealFinder(seed int64) *AnnealFinder {
+	return &AnnealFinder{inner: NewFastFinder(), seed: seed}
 }
 
 // Name identifies the algorithm.
@@ -99,10 +97,6 @@ func (f *AnnealFinder) Place(gr *torus.Grid, cands []torus.Partition) int {
 	if n <= 1 {
 		return 0
 	}
-	steps := f.Steps
-	if steps <= 0 {
-		steps = 48
-	}
 	scores := make([]float64, n)
 	seen := make([]bool, n)
 	score := func(i int) float64 {
@@ -120,7 +114,7 @@ func (f *AnnealFinder) Place(gr *torus.Grid, cands []torus.Partition) int {
 	// scale, so early moves explore and late moves only descend.
 	temp := 1 + bestScore
 	const cooling = 0.92
-	for s := 0; s < steps; s++ {
+	for s := 0; s < annealSteps; s++ {
 		next := rng.intn(n)
 		nextScore := score(next)
 		delta := nextScore - curScore

@@ -31,7 +31,7 @@ func annealGrid(t *testing.T, fill float64, seed int64) *torus.Grid {
 // occupancy) must all pick the same candidate.
 func TestAnnealPlaceDeterministic(t *testing.T) {
 	gr := annealGrid(t, 0.4, 3)
-	f := NewAnnealFinder(7, 0)
+	f := NewAnnealFinder(7)
 	for _, size := range []int{4, 8, 16} {
 		cands := f.FreeOfSize(gr, size)
 		if len(cands) < 2 {
@@ -43,7 +43,7 @@ func TestAnnealPlaceDeterministic(t *testing.T) {
 				t.Fatalf("size %d: repeat call chose %d, want %d", size, got, want)
 			}
 		}
-		if got := NewAnnealFinder(7, 4).Place(gr, cands); got != want {
+		if got := NewAnnealFinder(7).Place(gr, cands); got != want {
 			t.Fatalf("size %d: fresh same-seed finder chose %d, want %d", size, got, want)
 		}
 		rebuilt, err := torus.NewGridFromOwners(gr.Geometry(), gr.Owners())
@@ -62,7 +62,7 @@ func TestAnnealPlaceDeterministic(t *testing.T) {
 func TestAnnealPlaceNeverWorseThanDefault(t *testing.T) {
 	for gseed := int64(1); gseed <= 5; gseed++ {
 		gr := annealGrid(t, 0.45, gseed)
-		f := NewAnnealFinder(gseed, 0)
+		f := NewAnnealFinder(gseed)
 		for _, size := range []int{2, 4, 8} {
 			cands := f.FreeOfSize(gr, size)
 			if len(cands) == 0 {
@@ -83,7 +83,7 @@ func TestAnnealPlaceNeverWorseThanDefault(t *testing.T) {
 // finder: Place only reorders preference, never the legal set.
 func TestAnnealFreeOfSizeMatchesShape(t *testing.T) {
 	gr := annealGrid(t, 0.4, 9)
-	f := NewAnnealFinder(1, 0)
+	f := NewAnnealFinder(1)
 	ref := ShapeFinder{}
 	for _, size := range []int{1, 4, 8, 32} {
 		got, want := f.FreeOfSize(gr, size), ref.FreeOfSize(gr, size)

@@ -1,19 +1,17 @@
 package partition
 
 import (
-	"context"
 	"sync"
 
-	"bgsched/internal/resilience"
 	"bgsched/internal/torus"
 )
 
 // FastFinder is the fast-path free-partition search: the same result
 // set as ShapeFinder (the paper's Appendix 9 algorithm), produced from
 // incrementally maintained occupancy state instead of per-query scans,
-// with a memoized result cache and optional parallel enumeration.
+// with a memoized result cache.
 //
-// Three layers make it fast:
+// Two layers make it fast:
 //
 //  1. Incremental occupancy. The grid maintains per-column and
 //     per-plane projection counts and an occupancy hash in O(1) per
@@ -31,20 +29,11 @@ import (
 //     placement, as placement policies do) re-hits the cache. Entries
 //     are never served stale: any occupancy change changes the hash
 //     and so the key; a slot collision merely recomputes.
-//  3. Parallel enumeration. With Workers > 1 the (shape, base-x) task
-//     list is split across a bounded resilience.ForEach pool. Workers
-//     fill disjoint per-task slots that are concatenated in task order
-//     and sorted, so parallel output is byte-identical to sequential
-//     (the deterministic sort leaves no room for scheduling order to
-//     leak; ties cannot arise because candidates are distinct).
 //
-// The zero value is ready to use (sequential). FastFinder is stateful
-// and safe for concurrent use; a single mutex serialises queries,
-// which matches the single-threaded scheduler hot path it serves.
+// The zero value is ready to use. FastFinder is stateful and safe for
+// concurrent use; a single mutex serialises queries, which matches the
+// single-threaded scheduler hot path it serves.
 type FastFinder struct {
-	// Workers bounds the enumeration pool; <= 1 enumerates on the
-	// calling goroutine.
-	Workers int
 	// Metrics, when non-nil, receives per-call search-cost telemetry
 	// plus the fast path's cache hit/miss/invalidation counters.
 	Metrics *Metrics
@@ -56,18 +45,13 @@ type FastFinder struct {
 
 	// Enumeration scratch, reused across calls under mu so cache misses
 	// do not allocate in steady state.
-	shapes     []torus.Shape
-	freeZ      []int
-	tasks      []fastTask
-	bzBuf      []int
-	outs       [][]torus.Partition
-	basesPer   []int
-	rejectsPer []int
+	shapes []torus.Shape
+	freeZ  []int
+	bzBuf  []int
 }
 
-// NewFastFinder returns a fast finder with the given enumeration
-// worker bound (<= 1 means sequential).
-func NewFastFinder(workers int) *FastFinder { return &FastFinder{Workers: workers} }
+// NewFastFinder returns an empty fast finder.
+func NewFastFinder() *FastFinder { return &FastFinder{} }
 
 // Name implements Finder.
 func (f *FastFinder) Name() string { return "fast" }
@@ -224,16 +208,6 @@ func (st *fastGridState) sync(gr *torus.Grid) int {
 	return rebuilt
 }
 
-// fastTask is one parallel unit of enumeration: every base with this
-// shape and base-x coordinate. [bzLo, bzHi) indexes the finder's bzBuf
-// with the z-bases that survived the plane-projection prune (offsets,
-// not a subslice, so bzBuf may grow while tasks accumulate).
-type fastTask struct {
-	shape      torus.Shape
-	bx         int
-	bzLo, bzHi int
-}
-
 // FreeOfSize implements Finder. The result is a fresh slice the caller
 // may keep or mutate.
 func (f *FastFinder) FreeOfSize(gr *torus.Grid, size int) []torus.Partition {
@@ -287,23 +261,10 @@ func (f *FastFinder) freeOfSizeLocked(gr *torus.Grid, size int) []torus.Partitio
 	return slot.parts
 }
 
-// growInts returns s with length n, reusing capacity; contents are
-// zeroed.
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// enumerate runs the pruned shape enumeration, sequentially or on the
-// worker pool, appends the sorted candidates to out and returns it plus
-// the bases-scanned / early-reject tallies. All scratch lives on the
-// finder, so steady-state misses allocate nothing.
+// enumerate runs the pruned shape enumeration in (shape, base x,
+// base y, base z) order, appends the sorted candidates to out and
+// returns it plus the bases-scanned / early-reject tallies. All scratch
+// lives on the finder, so steady-state misses allocate nothing.
 func (f *FastFinder) enumerate(gr *torus.Grid, st *fastGridState, shapes []torus.Shape, out []torus.Partition) ([]torus.Partition, int, int) {
 	g := gr.Geometry()
 	dims := g.Dims
@@ -311,19 +272,17 @@ func (f *FastFinder) enumerate(gr *torus.Grid, st *fastGridState, shapes []torus
 	// Per-axis projection prune: a z-window is only worth scanning if
 	// every z-plane it spans has at least shape.X*shape.Y free nodes.
 	planeXY := dims.X * dims.Y
-	f.freeZ = growInts(f.freeZ, dims.Z)
+	f.freeZ = f.freeZ[:0]
 	for z := 0; z < dims.Z; z++ {
-		f.freeZ[z] = planeXY - gr.PlaneBusy(2, z)
+		f.freeZ = append(f.freeZ, planeXY-gr.PlaneBusy(2, z))
 	}
 
-	f.tasks = f.tasks[:0]
-	f.bzBuf = f.bzBuf[:0]
 	bases, rejects := 0, 0
 	for _, shape := range shapes {
 		rx := baseRange(dims.X, shape.X, g.Wrap)
 		ry := baseRange(dims.Y, shape.Y, g.Wrap)
 		rz := baseRange(dims.Z, shape.Z, g.Wrap)
-		bzLo := len(f.bzBuf)
+		f.bzBuf = f.bzBuf[:0]
 		for bz := 0; bz < rz; bz++ {
 			ok := true
 			for dz := 0; dz < shape.Z; dz++ {
@@ -345,100 +304,38 @@ func (f *FastFinder) enumerate(gr *torus.Grid, st *fastGridState, shapes []torus
 				rejects += rx * ry
 			}
 		}
-		if len(f.bzBuf) == bzLo {
-			continue
-		}
 		for bx := 0; bx < rx; bx++ {
-			f.tasks = append(f.tasks, fastTask{shape: shape, bx: bx, bzLo: bzLo, bzHi: len(f.bzBuf)})
-		}
-	}
-	n := len(f.tasks)
-	if n == 0 {
-		return out, bases, rejects
-	}
-
-	for len(f.outs) < n {
-		f.outs = append(f.outs, nil)
-	}
-	for i := 0; i < n; i++ {
-		f.outs[i] = f.outs[i][:0]
-	}
-	f.basesPer = growInts(f.basesPer, n)
-	f.rejectsPer = growInts(f.rejectsPer, n)
-
-	if f.Workers > 1 && n > 1 {
-		// Tasks are microseconds each, so they are handed to the pool in
-		// contiguous chunks — a few per worker for balance — to amortise
-		// the pool's per-item dispatch cost. runTask never fails and the
-		// context is never cancelled, so ForEach's only possible return
-		// is nil.
-		chunks := f.Workers * 4
-		if chunks > n {
-			chunks = n
-		}
-		per := (n + chunks - 1) / chunks
-		_ = resilience.ForEach(context.Background(), chunks, f.Workers, func(c int) error {
-			lo := c * per
-			hi := lo + per
-			if hi > n {
-				hi = n
+			for by := 0; by < ry; by++ {
+			nextBase:
+				for _, bz := range f.bzBuf {
+					bases++
+					for dx := 0; dx < shape.X; dx++ {
+						x := bx + dx
+						if x >= dims.X {
+							x -= dims.X
+						}
+						row := x * dims.Y
+						for dy := 0; dy < shape.Y; dy++ {
+							y := by + dy
+							if y >= dims.Y {
+								y -= dims.Y
+							}
+							if st.windowBusy(row+y, bz, shape.Z, dims.Z) {
+								rejects++
+								continue nextBase
+							}
+						}
+					}
+					out = append(out, torus.Partition{
+						Base:  torus.Coord{X: bx, Y: by, Z: bz},
+						Shape: shape,
+					})
+				}
 			}
-			for i := lo; i < hi; i++ {
-				f.runTask(st, g, i)
-			}
-			return nil
-		})
-	} else {
-		for i := 0; i < n; i++ {
-			f.runTask(st, g, i)
 		}
-	}
-
-	for i := 0; i < n; i++ {
-		out = append(out, f.outs[i]...)
-		bases += f.basesPer[i]
-		rejects += f.rejectsPer[i]
 	}
 	sortPartitions(out)
 	return out, bases, rejects
-}
-
-// runTask scans every base of one (shape, base-x) task into the task's
-// private output slot. Disjoint slots keep the parallel path exact.
-func (f *FastFinder) runTask(st *fastGridState, g torus.Geometry, i int) {
-	t := f.tasks[i]
-	dims := g.Dims
-	shape := t.shape
-	ry := baseRange(dims.Y, shape.Y, g.Wrap)
-	out := f.outs[i]
-	for by := 0; by < ry; by++ {
-	nextBase:
-		for _, bz := range f.bzBuf[t.bzLo:t.bzHi] {
-			f.basesPer[i]++
-			for dx := 0; dx < shape.X; dx++ {
-				x := t.bx + dx
-				if x >= dims.X {
-					x -= dims.X
-				}
-				row := x * dims.Y
-				for dy := 0; dy < shape.Y; dy++ {
-					y := by + dy
-					if y >= dims.Y {
-						y -= dims.Y
-					}
-					if st.windowBusy(row+y, bz, shape.Z, dims.Z) {
-						f.rejectsPer[i]++
-						continue nextBase
-					}
-				}
-			}
-			out = append(out, torus.Partition{
-				Base:  torus.Coord{X: t.bx, Y: by, Z: bz},
-				Shape: shape,
-			})
-		}
-	}
-	f.outs[i] = out
 }
 
 // clonePartitions returns a defensive copy so cached slices can never

@@ -17,7 +17,7 @@ func TestFastFinderCacheHitAndInvalidation(t *testing.T) {
 	g := torus.BlueGeneL()
 	gr := randomGrid(t, g, 0.4, 11)
 	reg := telemetry.New()
-	f := Instrumented(NewFastFinder(0), reg).(*FastFinder)
+	f := Instrumented(NewFastFinder(), reg).(*FastFinder)
 
 	first := f.FreeOfSize(gr, 8)
 	if got := f.Metrics.CacheMisses.Value(); got != 1 {
@@ -61,7 +61,7 @@ func TestFastFinderRecurrenceHit(t *testing.T) {
 	g := torus.BlueGeneL()
 	gr := randomGrid(t, g, 0.15, 12)
 	reg := telemetry.New()
-	f := Instrumented(NewFastFinder(0), reg).(*FastFinder)
+	f := Instrumented(NewFastFinder(), reg).(*FastFinder)
 
 	before := f.FreeOfSize(gr, 8)
 	if len(before) == 0 {
@@ -85,32 +85,11 @@ func TestFastFinderRecurrenceHit(t *testing.T) {
 	}
 }
 
-// TestFastFinderParallelIdenticalToSequential: the parallel pool must
-// be byte-identical to sequential enumeration on the same states.
-func TestFastFinderParallelIdenticalToSequential(t *testing.T) {
-	for _, wrap := range []bool{true, false} {
-		g := torus.NewGeometry(4, 4, 8, wrap)
-		for seed := int64(0); seed < 20; seed++ {
-			gr := randomGrid(t, g, float64(seed%10)/10, 3000+seed)
-			for _, size := range []int{1, 4, 8, 16, 32, 64, 128} {
-				// Fresh finders each round: no shared cache, so both
-				// actually enumerate.
-				seq := NewFastFinder(1).FreeOfSize(gr, size)
-				par := NewFastFinder(8).FreeOfSize(gr, size)
-				if !reflect.DeepEqual(seq, par) {
-					t.Fatalf("wrap=%v seed=%d size=%d: parallel (%d parts) != sequential (%d parts)",
-						wrap, seed, size, len(par), len(seq))
-				}
-			}
-		}
-	}
-}
-
 // TestFastFinderManyGrids: the per-grid derived state is bounded;
 // cycling through more grids than the bound must stay correct.
 func TestFastFinderManyGrids(t *testing.T) {
 	g := torus.BlueGeneL()
-	f := NewFastFinder(0)
+	f := NewFastFinder()
 	grids := make([]*torus.Grid, 3*maxCachedGrids)
 	for i := range grids {
 		grids[i] = randomGrid(t, g, 0.35, 500+int64(i))
@@ -131,7 +110,7 @@ func TestFastFinderManyGrids(t *testing.T) {
 func TestFastFinderResultIsolation(t *testing.T) {
 	g := torus.BlueGeneL()
 	gr := randomGrid(t, g, 0.3, 77)
-	f := NewFastFinder(0)
+	f := NewFastFinder()
 	first := f.FreeOfSize(gr, 8)
 	if len(first) == 0 {
 		t.Fatal("need candidates")
@@ -145,7 +124,7 @@ func TestFastFinderResultIsolation(t *testing.T) {
 
 // TestFastFinderConcurrentQueries hammers one finder from many
 // goroutines over several grids; run under -race this is the
-// concurrency guard for the cache and pool code.
+// concurrency guard for the cache code.
 func TestFastFinderConcurrentQueries(t *testing.T) {
 	g := torus.BlueGeneL()
 	grids := []*torus.Grid{
@@ -157,7 +136,7 @@ func TestFastFinderConcurrentQueries(t *testing.T) {
 	for i, gr := range grids {
 		want[i] = ShapeFinder{}.FreeOfSize(gr, 8)
 	}
-	f := NewFastFinder(4)
+	f := NewFastFinder()
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
 	for w := 0; w < 8; w++ {
@@ -186,7 +165,7 @@ func TestFastFinderConcurrentQueries(t *testing.T) {
 // request.
 func TestFastFinderNoShapesAndFullGrid(t *testing.T) {
 	g := torus.BlueGeneL()
-	f := NewFastFinder(0)
+	f := NewFastFinder()
 	gr := torus.NewGrid(g)
 	if got := f.FreeOfSize(gr, 11); got != nil { // 11 is not a feasible size on 4x4x8
 		t.Fatalf("infeasible size returned %d parts", len(got))

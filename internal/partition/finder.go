@@ -51,18 +51,10 @@ var Names = []string{"naive", "pop", "shape", "fast", "anneal"}
 
 // ByName constructs the named finder algorithm: "naive", "pop",
 // "shape" (also the default for an empty name), "fast" or "anneal".
-// workers bounds the parallel enumeration pool of the fast and anneal
-// finders (<= 1 keeps them sequential) and is ignored by the others.
-// The anneal finder's placement search gets seed 0; use ByNameSeeded
-// to steer it.
-func ByName(name string, workers int) (Finder, error) {
-	return ByNameSeeded(name, workers, 0)
-}
-
-// ByNameSeeded is ByName with an explicit placement-search seed for the
-// "anneal" finder (the other algorithms are deterministic and ignore
-// it). An unknown name is rejected with the registered names listed.
-func ByNameSeeded(name string, workers int, seed int64) (Finder, error) {
+// seed steers the anneal finder's placement search; the other
+// algorithms are deterministic and ignore it. An unknown name is
+// rejected with the registered names listed.
+func ByName(name string, seed int64) (Finder, error) {
 	switch name {
 	case "", "shape":
 		return ShapeFinder{}, nil
@@ -71,9 +63,9 @@ func ByNameSeeded(name string, workers int, seed int64) (Finder, error) {
 	case "pop":
 		return POPFinder{}, nil
 	case "fast":
-		return NewFastFinder(workers), nil
+		return NewFastFinder(), nil
 	case "anneal":
-		return NewAnnealFinder(seed, workers), nil
+		return NewAnnealFinder(seed), nil
 	}
 	return nil, fmt.Errorf("partition: unknown finder %q (registered finders: %s)",
 		name, strings.Join(Names, ", "))

@@ -87,21 +87,19 @@ func (o Op) String() string {
 }
 
 // DefaultFinders returns the full algorithm set under test: the three
-// scan finders, the fast path in both sequential and parallel
-// configurations, and the annealing finder.
+// scan finders, the fast path and the annealing finder.
 func DefaultFinders() []partition.Finder {
 	return []partition.Finder{
 		partition.NaiveFinder{},
 		partition.POPFinder{},
 		partition.ShapeFinder{},
-		partition.NewFastFinder(0),
-		partition.NewFastFinder(4),
+		partition.NewFastFinder(),
 		// The annealing finder delegates enumeration to an embedded fast
 		// finder; riding in the oracle set proves its candidate sets stay
 		// byte-identical (including across the OpSnapshot identity swap)
 		// — only its placement preference differs, and that is outside
 		// FreeOfSize.
-		partition.NewAnnealFinder(1, 0),
+		partition.NewAnnealFinder(1),
 	}
 }
 

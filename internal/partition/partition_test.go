@@ -10,10 +10,9 @@ import (
 )
 
 // finders lists every algorithm; the agreement tests below replay each
-// grid against all of them. Both fast variants (sequential and
-// parallel) ride along so the cache and pool paths face the same
-// scrutiny as the scan-based finders.
-var finders = []Finder{NaiveFinder{}, POPFinder{}, ShapeFinder{}, NewFastFinder(0), NewFastFinder(4), NewAnnealFinder(1, 0)}
+// grid against all of them, so the fast finder's cache path faces the
+// same scrutiny as the scan-based finders.
+var finders = []Finder{NaiveFinder{}, POPFinder{}, ShapeFinder{}, NewFastFinder(), NewAnnealFinder(1)}
 
 func randomGrid(t *testing.T, g torus.Geometry, fillProb float64, seed int64) *torus.Grid {
 	t.Helper()
@@ -272,16 +271,13 @@ func TestFinderNames(t *testing.T) {
 		if f.Name() == "" {
 			t.Fatal("empty finder name")
 		}
-		if _, isFast := f.(*FastFinder); isFast {
-			continue // both fast variants intentionally share a name
-		}
 		if names[f.Name()] {
 			t.Fatalf("duplicate finder name %q", f.Name())
 		}
 		names[f.Name()] = true
 	}
 	for _, name := range Names {
-		f, err := ByName(name, 2)
+		f, err := ByName(name, 0)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
 		}
@@ -306,21 +302,19 @@ func TestFinderNames(t *testing.T) {
 }
 
 // TestByNameRoundTrip covers every registered name: construction
-// succeeds, the finder reports the same name back, and the seeded
-// variant threads the seed into the annealer.
+// succeeds, the finder reports the same name back, and the seed is
+// threaded into the annealer.
 func TestByNameRoundTrip(t *testing.T) {
 	for _, name := range Names {
-		for _, workers := range []int{0, 2} {
-			f, err := ByNameSeeded(name, workers, 42)
-			if err != nil {
-				t.Fatalf("ByNameSeeded(%q, %d): %v", name, workers, err)
-			}
-			if f.Name() != name {
-				t.Fatalf("ByNameSeeded(%q).Name() = %q", name, f.Name())
-			}
-			if af, ok := f.(*AnnealFinder); ok && af.Seed() != 42 {
-				t.Fatalf("anneal finder seed = %d, want 42", af.Seed())
-			}
+		f, err := ByName(name, 42)
+		if err != nil {
+			t.Fatalf("ByName(%q, 42): %v", name, err)
+		}
+		if f.Name() != name {
+			t.Fatalf("ByName(%q).Name() = %q", name, f.Name())
+		}
+		if af, ok := f.(*AnnealFinder); ok && af.Seed() != 42 {
+			t.Fatalf("anneal finder seed = %d, want 42", af.Seed())
 		}
 	}
 }

@@ -192,8 +192,7 @@ func propertyFinders() []partition.Finder {
 		partition.NaiveFinder{},
 		partition.POPFinder{},
 		partition.ShapeFinder{},
-		partition.NewFastFinder(0),
-		partition.NewFastFinder(4),
+		partition.NewFastFinder(),
 	}
 }
 

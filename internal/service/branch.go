@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"bgsched/internal/experiments"
 	"bgsched/internal/sim"
-	"bgsched/internal/snapshot"
 	"bgsched/internal/telemetry"
 	"bgsched/internal/trace"
 )
@@ -41,61 +39,10 @@ type BranchResult struct {
 	SimResult
 }
 
-// snapshotCache is a tiny LRU of parent-prefix snapshots keyed by
-// (parent config hash, at_seq): sibling branches off the same point
-// reuse one prefix execution instead of re-simulating it. States are
-// immutable once cached (sim.NewFromSnapshot never mutates its input),
-// so one entry can feed any number of concurrent branch runs. Hit/miss
-// is visible only in the service counters, never in result payloads —
-// a chaos cache-drop replay must stay byte-identical.
-type snapshotCache struct {
-	mu    sync.Mutex
-	cap   int
-	items map[string]*snapshot.State
-	order []string // LRU, most recent last
-}
-
-func newSnapshotCache(capacity int) *snapshotCache {
-	return &snapshotCache{cap: capacity, items: make(map[string]*snapshot.State)}
-}
-
-func (c *snapshotCache) get(key string) *snapshot.State {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st, ok := c.items[key]
-	if !ok {
-		return nil
-	}
-	c.touchLocked(key)
-	return st
-}
-
-func (c *snapshotCache) add(key string, st *snapshot.State) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.items[key]; !ok && len(c.items) >= c.cap {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		delete(c.items, oldest)
-	}
-	c.items[key] = st
-	c.touchLocked(key)
-}
-
-func (c *snapshotCache) touchLocked(key string) {
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-	c.order = append(c.order, key)
-}
-
-// snapshotCacheSize bounds retained parent-prefix snapshots. Snapshots
+// maxBranchSnapshots bounds retained parent-prefix snapshots. Snapshots
 // are a few hundred KB each; branch grids fan many branches off few
 // points, so a small cache captures the reuse.
-const snapshotCacheSize = 8
+const maxBranchSnapshots = 8
 
 // handleSubmitBranch accepts a what-if replay of an existing simulation
 // run: restore the parent's state at the requested event boundary, swap
@@ -129,11 +76,6 @@ func (s *Server) handleSubmitBranch(w http.ResponseWriter, req *http.Request) {
 	// The branch config must be valid stand-alone: apply the overrides
 	// and run them through the same gate as a direct submission.
 	applied := br.Branch.Apply(parentCfg).Canonical()
-	if applied.FinderWorkers > maxFinderWorkers {
-		s.writeErr(w, http.StatusBadRequest,
-			fmt.Sprintf("finder_workers must be <= %d, got %d", maxFinderWorkers, applied.FinderWorkers))
-		return
-	}
 	if err := s.validateRunConfig(applied); err != nil {
 		s.writeErr(w, http.StatusBadRequest, err.Error())
 		return
@@ -164,8 +106,10 @@ func (s *Server) handleSubmitBranch(w http.ResponseWriter, req *http.Request) {
 func (s *Server) executeBranch(ctx context.Context, r *run) (any, error) {
 	bc := r.cfg.(branchConfig)
 	key := fmt.Sprintf("%s@%d", bc.ParentHash, bc.AtSeq)
-	st := s.snapshots.get(key)
-	if st != nil {
+	s.mu.Lock()
+	st, ok := s.snapshots.Get(key)
+	s.mu.Unlock()
+	if ok {
 		s.m.branchSnapshotHits.Inc()
 	} else {
 		s.m.branchSnapshotMisses.Inc()
@@ -179,7 +123,9 @@ func (s *Server) executeBranch(ctx context.Context, r *run) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.snapshots.add(key, st)
+		s.mu.Lock()
+		s.snapshots.Add(key, st)
+		s.mu.Unlock()
 	}
 
 	cfg := bc.Branch.Apply(bc.Parent)

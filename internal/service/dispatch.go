@@ -261,7 +261,7 @@ func (s *Server) sealLocked(r *run) {
 		delete(s.byHash, r.hash)
 	}
 	if r.state == StateDone {
-		if evicted := s.cache.add(r.hash, r); evicted > 0 {
+		if evicted := s.cache.Add(r.hash, r); evicted > 0 {
 			s.m.cacheEvictions.Add(int64(evicted))
 		}
 	}

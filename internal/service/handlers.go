@@ -86,9 +86,6 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	cfg = cfg.Canonical()
-	if cfg.FinderWorkers > maxFinderWorkers {
-		cfg.FinderWorkers = maxFinderWorkers
-	}
 	if err := s.validateRunConfig(cfg); err != nil {
 		s.writeErr(w, http.StatusBadRequest, err.Error())
 		return
@@ -145,7 +142,7 @@ func (s *Server) submit(w http.ResponseWriter, req *http.Request, kind, hash str
 	wait := isTruthy(req.URL.Query().Get("wait"))
 
 	s.mu.Lock()
-	if hit := s.cache.get(hash); hit != nil {
+	if hit, ok := s.cache.Get(hash); ok {
 		// The chaos cache seam can force a miss: the run re-executes and
 		// determinism demands the replayed result be byte-identical —
 		// exactly the property a soak verifies. (Lock order s.mu → chaos
@@ -357,12 +354,9 @@ func (s *Server) lookup(id string) *run {
 	return s.runs[id]
 }
 
-// maxFinderWorkers and maxSweepWorkers bound per-request parallelism
-// so one client cannot monopolise the host.
-const (
-	maxFinderWorkers = 8
-	maxSweepWorkers  = 4
-)
+// maxSweepWorkers bounds per-request parallelism so one client cannot
+// monopolise the host.
+const maxSweepWorkers = 4
 
 // validateRunConfig rejects configs that are malformed or outsized
 // before they consume a queue slot. cfg is already canonical.
@@ -378,7 +372,7 @@ func (s *Server) validateRunConfig(cfg experiments.RunConfig) error {
 	if _, err := workload.PresetByName(cfg.Workload, cfg.JobCount); err != nil {
 		return fmt.Errorf("Workload: %v", err)
 	}
-	if _, err := partition.ByName(cfg.Finder, cfg.FinderWorkers); err != nil {
+	if _, err := partition.ByName(cfg.Finder, cfg.AnnealSeed); err != nil {
 		return fmt.Errorf("Finder: %v", err)
 	}
 	switch cfg.Scheduler {

@@ -8,42 +8,6 @@ import (
 	"time"
 )
 
-func TestLRUCacheEviction(t *testing.T) {
-	c := newLRUCache(2)
-	r1, r2, r3 := &run{id: "r1"}, &run{id: "r2"}, &run{id: "r3"}
-
-	if ev := c.add("a", r1); ev != 0 {
-		t.Fatalf("add a evicted %d", ev)
-	}
-	c.add("b", r2)
-	if got := c.get("a"); got != r1 { // touch "a": "b" becomes LRU
-		t.Fatalf("get a = %v", got)
-	}
-	if ev := c.add("c", r3); ev != 1 {
-		t.Fatalf("add c evicted %d, want 1", ev)
-	}
-	if c.get("b") != nil {
-		t.Fatal("LRU entry b survived eviction")
-	}
-	if c.get("a") != r1 || c.get("c") != r3 {
-		t.Fatal("recently used entries were evicted")
-	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
-	}
-
-	// Refreshing an existing key replaces the run without eviction.
-	r1b := &run{id: "r1b"}
-	if ev := c.add("a", r1b); ev != 0 || c.get("a") != r1b {
-		t.Fatalf("refresh: evicted=%d got=%v", ev, c.get("a"))
-	}
-	c.remove("a")
-	if c.get("a") != nil || c.len() != 1 {
-		t.Fatal("remove did not drop the entry")
-	}
-	c.remove("a") // absent: no-op
-}
-
 func TestEventBufferReplayAndFollow(t *testing.T) {
 	b := newEventBuffer(0)
 	b.append([]byte("one"))

@@ -40,6 +40,8 @@ import (
 	"time"
 
 	"bgsched/internal/chaos"
+	"bgsched/internal/lru"
+	"bgsched/internal/snapshot"
 	"bgsched/internal/telemetry"
 	"bgsched/internal/trace"
 )
@@ -201,30 +203,30 @@ type serviceMetrics struct {
 
 func newServiceMetrics(reg *telemetry.Registry) serviceMetrics {
 	return serviceMetrics{
-		httpRequests:       reg.Counter("service.http.requests"),
-		httpErrors:         reg.Counter("service.http.errors"),
-		httpPanics:         reg.Counter("service.http.panics"),
-		limiterRejected:    reg.Counter("service.http.limiter_rejected"),
-		chaosInjected:      reg.Counter("service.chaos.requests_faulted"),
-		cacheHits:          reg.Counter("service.cache.hits"),
-		cacheMisses:        reg.Counter("service.cache.misses"),
-		cacheEvictions:     reg.Counter("service.cache.evictions"),
-		queueDepth:         reg.Gauge("service.queue.depth"),
-		queueRejected:      reg.Counter("service.queue.rejected"),
-		queueWait:          reg.Histogram("service.queue.wait_seconds"),
-		runsSubmitted:      reg.Counter("service.runs.submitted"),
-		runsCompleted:      reg.Counter("service.runs.completed"),
-		runsFailed:         reg.Counter("service.runs.failed"),
-		runsCanceled:       reg.Counter("service.runs.canceled"),
-		runsCoalesced:      reg.Counter("service.runs.coalesced"),
-		runRetries:         reg.Counter("service.runs.retries"),
-		runPanics:          reg.Counter("service.runs.panics"),
-		runDuration:        reg.Histogram("service.run.duration_seconds"),
+		httpRequests:         reg.Counter("service.http.requests"),
+		httpErrors:           reg.Counter("service.http.errors"),
+		httpPanics:           reg.Counter("service.http.panics"),
+		limiterRejected:      reg.Counter("service.http.limiter_rejected"),
+		chaosInjected:        reg.Counter("service.chaos.requests_faulted"),
+		cacheHits:            reg.Counter("service.cache.hits"),
+		cacheMisses:          reg.Counter("service.cache.misses"),
+		cacheEvictions:       reg.Counter("service.cache.evictions"),
+		queueDepth:           reg.Gauge("service.queue.depth"),
+		queueRejected:        reg.Counter("service.queue.rejected"),
+		queueWait:            reg.Histogram("service.queue.wait_seconds"),
+		runsSubmitted:        reg.Counter("service.runs.submitted"),
+		runsCompleted:        reg.Counter("service.runs.completed"),
+		runsFailed:           reg.Counter("service.runs.failed"),
+		runsCanceled:         reg.Counter("service.runs.canceled"),
+		runsCoalesced:        reg.Counter("service.runs.coalesced"),
+		runRetries:           reg.Counter("service.runs.retries"),
+		runPanics:            reg.Counter("service.runs.panics"),
+		runDuration:          reg.Histogram("service.run.duration_seconds"),
 		branchSnapshotHits:   reg.Counter("service.branch.snapshot_hits"),
 		branchSnapshotMisses: reg.Counter("service.branch.snapshot_misses"),
 		journalErrors:        reg.Counter("service.journal_errors"),
-		journalRestoreSkip: reg.Counter("service.journal_restore_skipped"),
-		streamsActive:      reg.Gauge("service.streams.active"),
+		journalRestoreSkip:   reg.Counter("service.journal_restore_skipped"),
+		streamsActive:        reg.Gauge("service.streams.active"),
 	}
 }
 
@@ -259,17 +261,23 @@ type Server struct {
 	// the next restart. Any successful append resets it.
 	journalFails atomic.Int64
 
-	// snapshots caches parent-prefix snapshots for branch replays, so
-	// sibling branches off one point share the prefix execution.
-	snapshots *snapshotCache
-
 	mu       sync.Mutex
 	draining bool
 	runs     map[string]*run
 	order    []*run          // submission order, for listing + retention
 	byHash   map[string]*run // queued/running runs, for request coalescing
-	cache    *lruCache
-	idSeq    int64
+	// cache maps canonical config hashes to completed runs; s.mu also
+	// covers the run-state reads done while serving a hit.
+	cache *lru.Cache[string, *run]
+	// snapshots maps "parentHash@atSeq" to the parent-prefix snapshot
+	// of a branch replay, so sibling branches off one point share the
+	// prefix execution. States are immutable once cached
+	// (sim.NewFromSnapshot never mutates its input), so one entry can
+	// feed any number of concurrent branch runs. Hit/miss shows only in
+	// the service counters, never in result payloads: a chaos
+	// cache-drop replay must stay byte-identical.
+	snapshots *lru.Cache[string, *snapshot.State]
+	idSeq     int64
 }
 
 // New builds a Server, reloading the state journal when configured,
@@ -284,9 +292,9 @@ func New(cfg Config) (*Server, error) {
 		queue:    make(chan *run, cfg.QueueDepth),
 		runs:     make(map[string]*run),
 		byHash:   make(map[string]*run),
-		cache:    newLRUCache(cfg.CacheSize),
+		cache:    lru.New[string, *run](cfg.CacheSize),
 
-		snapshots: newSnapshotCache(snapshotCacheSize),
+		snapshots: lru.New[string, *snapshot.State](maxBranchSnapshots),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	if cfg.AccessLog != nil {

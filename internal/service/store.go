@@ -212,7 +212,7 @@ func (s *Server) restore(records []persistedRun) {
 		s.runs[r.id] = r
 		s.order = append(s.order, r)
 		if r.state == StateDone {
-			s.cache.add(r.hash, r)
+			s.cache.Add(r.hash, r)
 		}
 		if n := idNumber(r.id); n > s.idSeq {
 			s.idSeq = n
@@ -257,8 +257,8 @@ func (s *Server) enforceRetentionLocked() {
 	for _, r := range s.order {
 		if excess > 0 && r.state.terminal() {
 			delete(s.runs, r.id)
-			if s.cache.get(r.hash) == r {
-				s.cache.remove(r.hash)
+			if hit, _ := s.cache.Get(r.hash); hit == r {
+				s.cache.Remove(r.hash)
 			}
 			excess--
 			continue
