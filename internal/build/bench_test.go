@@ -45,3 +45,28 @@ func BenchmarkRunBuildColdVsWarm(b *testing.B) {
 		}
 	})
 }
+
+// TestWarmBuildAllocatedBytes gates the warm build's heap volume.
+// Bytes per op do not depend on the host's speed, so a fixed bound
+// holds on any machine: a warm Build of benchCfg allocates about
+// 112 KiB, nearly all of it the run's 2 000 job clones, so it must
+// stay under 256 KiB.
+func TestWarmBuildAllocatedBytes(t *testing.T) {
+	cfg := benchCfg()
+	bl := &Builder{Cache: NewCache(0)}
+	_, _, err := bl.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N && err == nil; i++ {
+			_, _, err = bl.Build(cfg)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.AllocedBytesPerOp(); res.N == 0 || got >= 256<<10 {
+		t.Fatalf("warm Build allocates %d B/op over %d ops, want under %d", got, res.N, 256<<10)
+	}
+}

@@ -43,7 +43,8 @@ func (s *Scheduler) Migrate(gr *torus.Grid, running []Running) ([]Migration, err
 	}
 	// Probe-only context: no MFPBefore/MFPPart, so every evaluation runs
 	// the real probe (migration compares placements, not a fixed bound),
-	// still through the scheduler's MFP cache.
+	// still through the scheduler's MFP cache, whose exact occupancy key
+	// follows the Release/Allocate below without invalidation.
 	ctx := &PlacementContext{Grid: gr, MFP: s.mfp}
 	for _, idx := range order {
 		r := running[idx]

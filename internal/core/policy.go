@@ -14,10 +14,6 @@ import (
 	"bgsched/internal/torus"
 )
 
-// probeOwner marks hypothetical allocations while a policy evaluates a
-// candidate placement. It never escapes a Choose call.
-const probeOwner int64 = -1
-
 // PlacementContext is everything a policy may consult when ranking
 // candidate partitions for one job.
 type PlacementContext struct {
@@ -33,39 +29,17 @@ type PlacementContext struct {
 	// itself stays free — hence MFP(after) == MFPBefore exactly,
 	// without a probe.
 	MFPPart torus.Partition
-	// MFP, when non-nil, memoizes MaxFree content-addressed by
-	// occupancy hash, so the probe evaluations that do run are O(1) on
-	// state recurrences. Nil falls back to the uncached computation.
+	// MFP answers the policies' MFP questions about Grid — the maximal
+	// free rectangles and the probes of hypothetical placements —
+	// memoized per exact occupancy state (see partition.MFPCache). It
+	// is required.
 	MFP *partition.MFPCache
 
 	// Policy scratch, reused across Choose calls by a scheduler that
 	// reuses its context; policies must not let it escape.
 	floats []float64
 	ints   []int
-
-	// maxParts lazily holds the complete set of maximal free
-	// rectangles of Grid (see partition.MaxFreeAll), computed on first
-	// use within one decision and reset by the scheduler between
-	// decisions. A placement disjoint from any member provably keeps
-	// the MFP at MFPBefore, so most probe evaluations reduce to
-	// overlap checks.
-	maxParts      []torus.Partition
-	maxPartsValid bool
 }
-
-// maxRects returns the complete maximal-free-rectangle set for the
-// context's grid, computing it once per decision.
-func (ctx *PlacementContext) maxRects() []torus.Partition {
-	if !ctx.maxPartsValid {
-		ctx.maxParts, _ = ctx.MFP.MaxFreeAll(ctx.Grid, ctx.maxParts)
-		ctx.maxPartsValid = true
-	}
-	return ctx.maxParts
-}
-
-// resetDecision invalidates per-decision lazy state; the scheduler
-// calls it when re-priming the context for a new grid state.
-func (ctx *PlacementContext) resetDecision() { ctx.maxPartsValid = false }
 
 // Policy ranks candidate partitions for a job and picks one.
 // Choose returns the index of the selected candidate, or -1 to decline
@@ -86,19 +60,18 @@ func (ctx *PlacementContext) mfpShortcut() bool {
 }
 
 // mfpAfter returns the MFP size of the grid with p hypothetically
-// allocated. When the context's MFPPart is consistent and p does not
-// overlap it, the answer is MFPBefore with no grid mutation at all —
-// the common case once the machine fragments. Otherwise the probe
-// allocation runs and is always rolled back (the allocate + release
-// pair restores the occupancy hash, which is what lets the MFP cache
-// and the finder caches survive probing). A failed probe means internal
+// allocated, never mutating the grid. When the context's MFPPart is
+// consistent and p does not overlap it, the answer is MFPBefore — the
+// common case once the machine fragments. Otherwise p must be valid
+// and free (the conditions Allocate enforces) and the MFP cache's
+// plate probe answers. A refused candidate means internal
 // inconsistency (candidates come from a finder over this same grid),
 // reported as an error rather than a panic so one bad sweep point
 // cannot take down its siblings.
 func mfpAfter(ctx *PlacementContext, p torus.Partition) (int, error) {
 	gr := ctx.Grid
+	g := gr.Geometry()
 	if ctx.mfpShortcut() {
-		g := gr.Geometry()
 		if !g.Overlaps(p, ctx.MFPPart) {
 			return ctx.MFPBefore, nil
 		}
@@ -106,31 +79,17 @@ func mfpAfter(ctx *PlacementContext, p torus.Partition) (int, error) {
 		// from at least one maximal free rectangle (that rectangle
 		// stays free; conversely a surviving MFP-sized rectangle was
 		// already maximal). Only placements cutting into every maximal
-		// rectangle still need a real evaluation.
-		for _, m := range ctx.maxRects() {
+		// rectangle still need a probe.
+		for _, m := range ctx.MFP.MaxRects(gr) {
 			if !g.Overlaps(p, m) {
 				return ctx.MFPBefore, nil
 			}
 		}
 	}
-	if ctx.MFP != nil {
-		// The cached path never mutates the grid: validity is checked up
-		// front (the same conditions Allocate enforces) and the MFP of
-		// the hypothetical state comes from the probe overlay, keyed by
-		// the exact hash a real allocation would produce.
-		if !gr.Geometry().ValidPartition(p) || !gr.PartitionFree(p) {
-			return 0, errProbe(p)
-		}
-		_, size := ctx.MFP.MaxFreeProbe(gr, p)
-		return size, nil
+	if !g.ValidPartition(p) || !gr.PartitionFree(p) {
+		return 0, errProbe(p)
 	}
-	if err := gr.Allocate(p, probeOwner); err != nil {
-		return 0, fmt.Errorf("core: probe allocation of %v failed: %w", p, err)
-	}
-	_, size := partition.MaxFree(gr)
-	if err := gr.Release(p, probeOwner); err != nil {
-		return 0, fmt.Errorf("core: probe release of %v failed: %w", p, err)
-	}
+	_, size := ctx.MFP.MaxFreeProbe(gr, p)
 	return size, nil
 }
 

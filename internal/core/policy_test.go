@@ -22,14 +22,18 @@ func testJob(id int, size int, est float64) *job.Job {
 	return &job.Job{ID: job.ID(id), Size: size, AllocSize: alloc, Estimate: est, Actual: est}
 }
 
+// probeOwner marks the hypothetical allocations of the exhaustive
+// reference below.
+const probeOwner int64 = -1
+
 func ctxFor(gr *torus.Grid, j *job.Job, now float64) *PlacementContext {
 	_, mfp := partition.MaxFree(gr)
-	return &PlacementContext{Grid: gr, Job: j, Now: now, MFPBefore: mfp}
+	return &PlacementContext{Grid: gr, Job: j, Now: now, MFPBefore: mfp, MFP: partition.NewMFPCache()}
 }
 
 func mustMFPAfter(t *testing.T, gr *torus.Grid, p torus.Partition) int {
 	t.Helper()
-	after, err := mfpAfter(&PlacementContext{Grid: gr}, p)
+	after, err := mfpAfter(&PlacementContext{Grid: gr, MFP: partition.NewMFPCache()}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +54,7 @@ func TestMfpAfterRollsBack(t *testing.T) {
 	gr := torus.NewGrid(g)
 	p := torus.Partition{Base: torus.Coord{}, Shape: torus.Shape{X: 2, Y: 2, Z: 2}}
 	before := gr.FreeCount()
-	after, err := mfpAfter(&PlacementContext{Grid: gr}, p)
+	after, err := mfpAfter(&PlacementContext{Grid: gr, MFP: partition.NewMFPCache()}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,8 +334,9 @@ func exhaustiveBalancing(t *testing.T, gr *torus.Grid, j *job.Job, now float64, 
 }
 
 // placementContexts returns the two ways a policy is primed: the bare
-// context (MFPBefore only; every probe allocates and releases) and the
-// scheduler's (MFPPart, maximal-rectangle shortcut and MFP cache).
+// context (MFPBefore and an MFP cache only, so every candidate is
+// probed) and the scheduler's (MFPPart and the maximal-rectangle
+// shortcut too).
 func placementContexts(t *testing.T, gr *torus.Grid, j *job.Job, now float64) map[string]*PlacementContext {
 	t.Helper()
 	s, err := NewScheduler(Config{Policy: Baseline{}})
@@ -538,7 +543,7 @@ func TestMfpAfterInconsistentGridErrors(t *testing.T) {
 	if err := gr.Allocate(p, 7); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mfpAfter(&PlacementContext{Grid: gr}, p); err == nil {
+	if _, err := mfpAfter(&PlacementContext{Grid: gr, MFP: partition.NewMFPCache()}, p); err == nil {
 		t.Fatal("probe of an already-allocated partition succeeded")
 	}
 }

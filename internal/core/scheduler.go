@@ -105,12 +105,12 @@ type Decision struct {
 //
 // The scheduler owns every buffer its decision loop needs — candidate
 // lists, the placement context, the EASY reservation's running-set and
-// scratch grid, the returned decision slice, the no-fit memo — plus a
-// content-addressed MFP cache, so a steady-state Schedule call performs
-// no heap allocations. The reuse is invisible in behaviour: decisions
-// are byte-identical to the allocate-per-call implementation. A
-// Scheduler is consequently not safe for concurrent use (it never was;
-// the simulator's event loop is single-threaded).
+// scratch grid, the returned decision slice, the no-fit memo — plus an
+// MFP memo keyed on the exact occupancy, so a steady-state Schedule
+// call performs no heap allocations. The reuse is invisible in
+// behaviour: decisions are byte-identical to the allocate-per-call
+// implementation. A Scheduler is consequently not safe for concurrent
+// use (it never was; the simulator's event loop is single-threaded).
 type Scheduler struct {
 	cfg Config
 	met schedMetrics
@@ -179,7 +179,7 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	return &Scheduler{
 		cfg: cfg,
 		met: newSchedMetrics(cfg.Telemetry),
-		mfp: partition.NewMFPCache(16384),
+		mfp: partition.NewMFPCache(),
 	}, nil
 }
 
@@ -196,22 +196,16 @@ func (s *Scheduler) freeOfSize(gr *torus.Grid, size int, buf *[]torus.Partition)
 	return s.cfg.Finder.FreeOfSize(gr, size)
 }
 
-// maxFree is MaxFree through the scheduler's content-addressed cache.
-func (s *Scheduler) maxFree(gr *torus.Grid) (torus.Partition, int) {
-	return s.mfp.MaxFree(gr)
-}
-
 // placementCtx primes the reused placement context for one decision,
 // preserving the policy scratch buffers across calls.
 func (s *Scheduler) placementCtx(gr *torus.Grid, j *job.Job, now float64) *PlacementContext {
-	part, mfp := s.maxFree(gr)
+	part, mfp := s.mfp.MaxFree(gr)
 	s.ctx.Grid = gr
 	s.ctx.Job = j
 	s.ctx.Now = now
 	s.ctx.MFPBefore = mfp
 	s.ctx.MFPPart = part
 	s.ctx.MFP = s.mfp
-	s.ctx.resetDecision()
 	return &s.ctx
 }
 

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"sync"
 
 	"bgsched/internal/torus"
@@ -19,16 +20,16 @@ import (
 //     prefix sums from them and resynchronises only the columns the
 //     grid reported dirty through its column-invalidation callback
 //     since the last query — O(changed volume), not O(machine), per
-//     state change, without even scanning the unchanged column hashes.
+//     state change, without even scanning the unchanged columns.
 //  2. Memoized candidates. Results are cached per (occupancy hash,
 //     size) in a direct-mapped slot table whose entries own reusable
 //     backing storage, so both hits and misses are allocation-free in
 //     steady state. Repeated queries between state changes are O(1),
 //     and because the hash depends only on the free/busy pattern, a
-//     state *recurrence* (allocate + release of a hypothetical
-//     placement, as placement policies do) re-hits the cache. Entries
-//     are never served stale: any occupancy change changes the hash
-//     and so the key; a slot collision merely recomputes.
+//     state *recurrence* (an allocate followed by the matching
+//     release) re-hits the cache. Entries are never served for another
+//     state: a hit also compares the exact occupancy, so a hash or slot
+//     collision merely recomputes.
 //
 // The zero value is ready to use. FastFinder is stateful and safe for
 // concurrent use; a single mutex serialises queries, which matches the
@@ -85,23 +86,22 @@ func (k fastKey) slotIndex() int {
 	return int(h & (resultSlots - 1))
 }
 
-// resultSlot is one direct-mapped cache entry. parts is slot-owned
-// backing storage, truncated and refilled in place on overwrite so the
-// steady state allocates nothing.
+// resultSlot is one direct-mapped cache entry. occ (the occupancy it
+// answers for) and parts are slot-owned backing storage, truncated and
+// refilled in place on overwrite so the steady state allocates nothing.
 type resultSlot struct {
 	key   fastKey
+	occ   []uint64
 	parts []torus.Partition
 	used  bool
 }
 
 // fastGridState is the finder's derived view of one grid: per-column
-// busy prefix sums over z, the column hashes they were built at, and
-// the dirty-column set reported by the grid's invalidation callback
-// since the last sync.
+// busy prefix sums over z and the dirty-column set reported by the
+// grid's invalidation callback since the last sync.
 type fastGridState struct {
-	pre      []int    // (dimZ+1) prefix sums of busy cells per column
-	colStamp []uint64 // ColumnHash value each column was synced at
-	synced   bool     // false until the first full build
+	pre    []int // (dimZ+1) prefix sums of busy cells per column
+	synced bool  // false until the first full build
 
 	dirty     []int  // columns touched since last sync, deduped
 	dirtyMark []bool // membership bitmap for dirty
@@ -151,7 +151,6 @@ func (f *FastFinder) state(gr *torus.Grid) *fastGridState {
 	cols := g.Dims.X * g.Dims.Y
 	st := &fastGridState{
 		pre:       make([]int, cols*(g.Dims.Z+1)),
-		colStamp:  make([]uint64, cols),
 		dirty:     make([]int, 0, cols),
 		dirtyMark: make([]bool, cols),
 	}
@@ -162,14 +161,8 @@ func (f *FastFinder) state(gr *torus.Grid) *fastGridState {
 	return st
 }
 
-// syncCol rebuilds one column's prefix sums if its occupancy hash moved
-// (or unconditionally on the first full build); reports 1 if rebuilt.
-func (st *fastGridState) syncCol(gr *torus.Grid, col int, dimZ int, force bool) int {
-	h := gr.ColumnHash(col)
-	if !force && st.colStamp[col] == h {
-		return 0
-	}
-	st.colStamp[col] = h
+// syncCol rebuilds one column's prefix sums.
+func (st *fastGridState) syncCol(gr *torus.Grid, col, dimZ int) {
 	base := col * (dimZ + 1)
 	node := col * dimZ
 	sum := 0
@@ -180,25 +173,23 @@ func (st *fastGridState) syncCol(gr *torus.Grid, col int, dimZ int, force bool) 
 		}
 		st.pre[base+z+1] = sum
 	}
-	return 1
 }
 
 // sync brings the prefix sums up to date with gr. The first call
 // builds every column; afterwards only the columns the grid reported
-// dirty are visited, and of those only the ones whose hash actually
-// moved are rebuilt (a probe allocate + release restores the hash, so
-// it costs nothing here). Returns how many columns were rebuilt.
+// dirty are rebuilt. Returns how many columns were rebuilt.
 func (st *fastGridState) sync(gr *torus.Grid) int {
 	dimZ := gr.Geometry().Dims.Z
-	rebuilt := 0
+	rebuilt := len(st.dirty)
 	if !st.synced {
-		for col := range st.colStamp {
-			rebuilt += st.syncCol(gr, col, dimZ, true)
+		rebuilt = len(st.dirtyMark) // one mark per column
+		for col := 0; col < rebuilt; col++ {
+			st.syncCol(gr, col, dimZ)
 		}
 		st.synced = true
 	} else {
 		for _, col := range st.dirty {
-			rebuilt += st.syncCol(gr, col, dimZ, false)
+			st.syncCol(gr, col, dimZ)
 		}
 	}
 	for _, col := range st.dirty {
@@ -241,7 +232,7 @@ func (f *FastFinder) freeOfSizeLocked(gr *torus.Grid, size int) []torus.Partitio
 		f.results = make([]resultSlot, resultSlots)
 	}
 	slot := &f.results[key.slotIndex()]
-	if slot.used && slot.key == key {
+	if slot.used && slot.key == key && slices.Equal(slot.occ, gr.Occupancy()) {
 		f.Metrics.cacheHit()
 		f.Metrics.observe(sw, len(slot.parts), 0, 0)
 		return slot.parts
@@ -251,6 +242,7 @@ func (f *FastFinder) freeOfSizeLocked(gr *torus.Grid, size int) []torus.Partitio
 	f.Metrics.cacheMiss(st.sync(gr))
 
 	slot.key = key
+	slot.occ = append(slot.occ[:0], gr.Occupancy()...)
 	slot.used = true
 	slot.parts = slot.parts[:0]
 	bases, rejects := 0, 0

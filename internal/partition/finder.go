@@ -220,19 +220,14 @@ func computeRunsBool(vals []bool, wrap bool, runs []int) {
 }
 
 // mfpScratch holds reusable buffers for MaxFree; pooled to keep the
-// hot placement-evaluation path allocation-free. blocked is the probe
-// overlay: nodes marked true are treated as busy regardless of the
-// grid, letting MaxFreeProbe evaluate hypothetical placements without
-// mutating grid state. It is all-false except inside maxFreeProbeWith,
-// which clears its marks before returning.
+// hot placement-evaluation path allocation-free.
 type mfpScratch struct {
-	zRuns   []int  // per-node z run lengths
-	freeOK  []bool // per-node free-and-not-blocked flags
-	colOK   []bool // dimX*dimY projected plane
-	yRun    []int  // dimX*dimY y-run lengths on the plane
-	rowOK   []bool // dimX row flags
-	xRun    []int  // dimX x-run lengths
-	blocked []bool // probe overlay, len N, normally all-false
+	zRuns  []int  // per-node z run lengths
+	freeOK []bool // per-node free-and-outside-the-plate flags
+	colOK  []bool // dimX*dimY projected plane
+	yRun   []int  // dimX*dimY y-run lengths on the plane
+	rowOK  []bool // dimX row flags
+	xRun   []int  // dimX x-run lengths
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(mfpScratch) }}
@@ -244,10 +239,6 @@ func (s *mfpScratch) ensure(g torus.Geometry) {
 		s.zRuns = make([]int, n)
 	}
 	s.zRuns = s.zRuns[:n]
-	if cap(s.blocked) < n {
-		s.blocked = make([]bool, n)
-	}
-	s.blocked = s.blocked[:n]
 	if cap(s.freeOK) < n {
 		s.freeOK = make([]bool, n)
 	}
@@ -266,18 +257,40 @@ func (s *mfpScratch) ensure(g torus.Geometry) {
 	s.xRun = s.xRun[:g.Dims.X]
 }
 
-// fillZRuns computes per-column z run lengths of free nodes.
-func (s *mfpScratch) fillZRuns(gr *torus.Grid) {
+// plate is the slab of whole planes an MFP probe blocks on one axis
+// (0 = x, 1 = y, 2 = z): every node whose coordinate on axis lies in
+// the cyclic span [start, start+length). The zero plate (length 0)
+// blocks nothing.
+type plate struct{ axis, start, length int }
+
+// covers reports whether coordinate k of axis (of extent dim) lies in
+// the plate.
+func (pl plate) covers(axis, k, dim int) bool {
+	if axis != pl.axis || pl.length == 0 {
+		return false
+	}
+	if k < pl.start {
+		k += dim
+	}
+	return k < pl.start+pl.length
+}
+
+// fillZRuns computes per-column z run lengths of the nodes that are
+// free and outside pl.
+func (s *mfpScratch) fillZRuns(gr *torus.Grid, pl plate) {
 	g := gr.Geometry()
 	dims := g.Dims
-	n := g.N()
-	for i := 0; i < n; i++ {
-		s.freeOK[i] = gr.NodeFree(i) && !s.blocked[i]
-	}
-	cols := dims.X * dims.Y
-	for c := 0; c < cols; c++ {
-		col := c * dims.Z
-		computeRunsBool(s.freeOK[col:col+dims.Z], g.Wrap, s.zRuns[col:col+dims.Z])
+	id := 0
+	for x := 0; x < dims.X; x++ {
+		for y := 0; y < dims.Y; y++ {
+			open := !pl.covers(0, x, dims.X) && !pl.covers(1, y, dims.Y)
+			col := s.freeOK[id : id+dims.Z]
+			for z := range col {
+				col[z] = open && !pl.covers(2, z, dims.Z) && gr.NodeFree(id+z)
+			}
+			computeRunsBool(col, g.Wrap, s.zRuns[id:id+dims.Z])
+			id += dims.Z
+		}
 	}
 }
 
@@ -293,17 +306,17 @@ func (s *mfpScratch) fillZRuns(gr *torus.Grid) {
 func MaxFree(gr *torus.Grid) (torus.Partition, int) {
 	sc := scratchPool.Get().(*mfpScratch)
 	defer scratchPool.Put(sc)
-	return maxFreeWith(sc, gr)
+	return maxFreeWith(sc, gr, plate{})
 }
 
-// maxFreeWith is MaxFree on an explicit scratch, for callers (the
-// MFPCache) that own their buffers and must never touch the shared
-// pool on the hot path.
-func maxFreeWith(sc *mfpScratch, gr *torus.Grid) (torus.Partition, int) {
+// maxFreeWith is MaxFree of gr with pl blocked, on an explicit scratch
+// for callers (the MFPCache) that own their buffers and must never
+// touch the shared pool on the hot path.
+func maxFreeWith(sc *mfpScratch, gr *torus.Grid, pl plate) (torus.Partition, int) {
 	g := gr.Geometry()
 	dims := g.Dims
 	sc.ensure(g)
-	sc.fillZRuns(gr)
+	sc.fillZRuns(gr, pl)
 
 	best := 0
 	var bestPart torus.Partition
@@ -353,33 +366,19 @@ func maxFreeWith(sc *mfpScratch, gr *torus.Grid) (torus.Partition, int) {
 	return bestPart, best
 }
 
-// MaxFreeAll appends to buf[:0] every maximal free rectangle: each
-// free, contiguous, rectangular partition whose node count equals the
-// MFP size (canonicalised like the finders' output), and returns the
-// list with that size. The complete set is what makes the placement
-// policies' no-probe shortcut exact: a hypothetical placement keeps
-// the MFP size unchanged if and only if it is disjoint from at least
-// one of these rectangles — "if" because that rectangle stays free,
-// "only if" because any free rectangle of MFP size after the placement
-// was already a maximal free rectangle before it.
-func MaxFreeAll(gr *torus.Grid, buf []torus.Partition) ([]torus.Partition, int) {
-	sc := scratchPool.Get().(*mfpScratch)
-	defer scratchPool.Put(sc)
-	return maxFreeAllWith(sc, gr, buf)
-}
-
-// maxFreeAllWith is the collecting variant of maxFreeWith: same sweep,
-// but pruning only on strictly-worse bounds so ties survive, and every
-// rectangle matching the best volume is emitted. Completeness holds
-// because a maximal rectangle is maximal in every dimension — the
-// sweep's run lengths recover exactly its extents at its own window —
-// and buf is reset whenever the best volume grows, so stale smaller
-// entries never linger.
-func maxFreeAllWith(sc *mfpScratch, gr *torus.Grid, buf []torus.Partition) ([]torus.Partition, int) {
+// maxFreeAllWith appends to buf[:0] every maximal free rectangle of gr
+// (see MFPCache.MaxRects). It is the collecting variant of maxFreeWith:
+// same sweep, but pruning only on strictly-worse bounds so ties
+// survive, and every rectangle matching the best volume is emitted.
+// Completeness holds because a maximal rectangle is maximal in every
+// dimension — the sweep's run lengths recover exactly its extents at
+// its own window — and buf is reset whenever the best volume grows, so
+// stale smaller entries never linger.
+func maxFreeAllWith(sc *mfpScratch, gr *torus.Grid, buf []torus.Partition) []torus.Partition {
 	g := gr.Geometry()
 	dims := g.Dims
 	sc.ensure(g)
-	sc.fillZRuns(gr)
+	sc.fillZRuns(gr, plate{})
 
 	best := 0
 	buf = buf[:0]
@@ -455,7 +454,7 @@ func maxFreeAllWith(sc *mfpScratch, gr *torus.Grid, buf []torus.Partition) ([]to
 			}
 		}
 	}
-	return buf, best
+	return buf
 }
 
 // MaxFreeSize returns just the size of the maximal free partition.

@@ -1,126 +1,132 @@
 package partition
 
-import "bgsched/internal/torus"
+import (
+	"slices"
 
-// MFPCache memoizes MaxFree results content-addressed by the grid's
-// occupancy hash. The maximal free partition is a pure function of the
-// geometry and the free/busy pattern, and the grid maintains a Zobrist
-// hash of that pattern incrementally — so a state *recurrence* (most
-// importantly the allocate/release probe pair placement policies issue
-// per candidate, and repeated decisions against an unchanged machine)
-// becomes an O(1) lookup instead of a full plane sweep.
+	"bgsched/internal/torus"
+)
+
+// MFPCache memoizes the maximal-free-partition questions a scheduler
+// asks about one occupancy state: MaxFree, the maximal free rectangles,
+// and MaxFree of the grid with a hypothetical placement p added.
 //
-// The cache is direct-mapped: each (geometry, hash) key owns one slot
-// chosen by mixing the hash, and a colliding insert simply overwrites.
-// That keeps lookups, inserts and evictions allocation-free, which the
-// simulator's zero-alloc steady-state guarantee depends on; hash
-// quality makes slot conflicts rare in practice. Entries are values
-// (torus.Partition has no pointers), so callers can never corrupt the
-// cache through a result.
+// Probes rest on an exact identity. Two boxes are disjoint iff their
+// projections are disjoint on some axis, so a box that stays free
+// after placing p is a free box avoiding p's plate on some axis: every
+// node whose coordinate on that axis lies in p's span. MFP(grid + p)
+// is thus the largest of three MFPs, each of the grid with one of p's
+// plates blocked. A plate depends only on (axis, start, length), so a
+// state has at most X²+Y²+Z² of them (96 on the 4x4x8 torus), each
+// swept once; a plate spanning the whole ring contributes 0.
 //
-// MFPCache is not safe for concurrent use; the scheduler hot path it
-// serves is single-threaded. The zero value is not usable — use
-// NewMFPCache.
+// The memo is keyed on the grid's geometry and exact occupancy bitset
+// (torus.Grid.Occupancy): a query about any other state starts a fresh
+// memo, so no answer comes from another state and callers never
+// invalidate by hand. Lookups allocate nothing once the buffers fit the
+// geometry. Not safe for concurrent use; the zero value is ready.
 type MFPCache struct {
-	slots   []mfpSlot
-	mask    uint64
+	geom    torus.Geometry
+	key     []uint64 // occupancy bitset of the memoized state
+	gen     uint64   // bumped per state; memos of other generations are stale
+	free    mfpMemo
+	plates  []mfpMemo // axis-major, then start, then length-1
+	rects   []torus.Partition
+	rectGen uint64
 	scratch mfpScratch
 	hits    uint64
 	misses  uint64
 }
 
-type mfpSlot struct {
-	geom torus.Geometry
-	hash uint64
+// mfpMemo is one memoized answer, current while gen is the cache's.
+type mfpMemo struct {
+	gen  uint64
 	part torus.Partition
 	size int
-	used bool
 }
 
-// NewMFPCache returns a cache with at least the given number of slots
-// (rounded up to a power of two; minimum 16).
-func NewMFPCache(slots int) *MFPCache {
-	n := 16
-	for n < slots {
-		n <<= 1
+// NewMFPCache returns an empty cache.
+func NewMFPCache() *MFPCache { return new(MFPCache) }
+
+// sync starts a fresh memo unless gr is in the memoized state.
+func (c *MFPCache) sync(gr *torus.Grid) {
+	g, occ := gr.Geometry(), gr.Occupancy()
+	if g == c.geom && slices.Equal(occ, c.key) {
+		return
 	}
-	return &MFPCache{slots: make([]mfpSlot, n), mask: uint64(n - 1)}
+	if g != c.geom { // the zero geometry matches no grid's
+		c.plates = make([]mfpMemo, g.Dims.X*g.Dims.X+g.Dims.Y*g.Dims.Y+g.Dims.Z*g.Dims.Z)
+	}
+	c.geom = g
+	c.key = append(c.key[:0], occ...)
+	c.gen++
 }
 
-// MaxFree returns MaxFree(gr), served from the cache when the grid's
-// occupancy pattern (and geometry) was seen before. A nil cache
-// degrades to the uncached computation.
+// MaxFree returns MaxFree(gr), computed once per occupancy state.
 func (c *MFPCache) MaxFree(gr *torus.Grid) (torus.Partition, int) {
-	if c == nil {
-		return MaxFree(gr)
+	c.sync(gr)
+	if c.free.gen != c.gen {
+		part, size := maxFreeWith(&c.scratch, gr, plate{})
+		c.free = mfpMemo{c.gen, part, size}
 	}
-	h := gr.OccupancyHash()
-	geom := gr.Geometry()
-	// The occupancy hash is already well-mixed (splitmix64 node keys),
-	// but XOR-fold the high bits in so low-bit-sparse patterns cannot
-	// cluster onto few slots.
-	s := &c.slots[(h^(h>>32))&c.mask]
-	if s.used && s.hash == h && s.geom == geom {
-		c.hits++
-		return s.part, s.size
-	}
-	c.misses++
-	part, size := maxFreeWith(&c.scratch, gr)
-	*s = mfpSlot{geom: geom, hash: h, part: part, size: size, used: true}
-	return part, size
+	return c.free.part, c.free.size
 }
 
-// MaxFreeProbe returns MaxFree of the grid as it would be with p
-// additionally allocated, without mutating the grid: the probe hash is
-// the occupancy hash XOR p's key delta (exactly what a real allocation
-// would produce, so entries are shared with MaxFree lookups of the
-// post-allocation state), and a miss recomputes against a blocked-node
-// overlay instead of an allocate/release round trip — no Zobrist
-// maintenance, no watcher notifications, no owner bookkeeping.
-// The caller is responsible for p being free and valid.
+// MaxRects returns every maximal free rectangle of gr: each free
+// rectangular partition of the MFP size, canonicalised like the
+// finders' output and computed once per occupancy state. The complete
+// set makes the placement policies' no-probe shortcut exact: a
+// placement keeps the MFP size if and only if it is disjoint from one
+// of these rectangles — "if" because that rectangle stays free, "only
+// if" because a free rectangle of MFP size after the placement was
+// already maximal before it. The cache owns the slice; it is valid
+// until a query about another state.
+func (c *MFPCache) MaxRects(gr *torus.Grid) []torus.Partition {
+	c.sync(gr)
+	if c.rectGen != c.gen {
+		c.rects = maxFreeAllWith(&c.scratch, gr, c.rects)
+		c.rectGen = c.gen
+	}
+	return c.rects
+}
+
+// MaxFreeProbe returns MaxFree of gr as it would be with p allocated,
+// without mutating the grid: the best of p's plate answers, so the
+// partition returned is free and disjoint from p. The caller is
+// responsible for p being valid and free.
 func (c *MFPCache) MaxFreeProbe(gr *torus.Grid, p torus.Partition) (torus.Partition, int) {
-	if c == nil {
-		sc := scratchPool.Get().(*mfpScratch)
-		defer scratchPool.Put(sc)
-		return maxFreeProbeWith(sc, gr, p)
+	c.sync(gr)
+	d := gr.Geometry().Dims
+	spans := [3][3]int{ // start, length, extent per axis
+		{p.Base.X, p.Shape.X, d.X}, {p.Base.Y, p.Shape.Y, d.Y}, {p.Base.Z, p.Shape.Z, d.Z}}
+	var best mfpMemo
+	idx := 0 // first plate index of the axis
+	for axis, s := range spans {
+		start, length, dim := s[0], s[1], s[2]
+		if length < dim {
+			if m := c.plateMFP(gr, plate{axis, start, length}, idx+start*dim+length-1); m.size > best.size {
+				best = m
+			}
+		}
+		idx += dim * dim
 	}
-	h := gr.OccupancyHash() ^ gr.PartitionHashDelta(p)
-	geom := gr.Geometry()
-	s := &c.slots[(h^(h>>32))&c.mask]
-	if s.used && s.hash == h && s.geom == geom {
+	return best.part, best.size
+}
+
+// plateMFP returns MaxFree of gr with pl blocked, memoized at index idx.
+func (c *MFPCache) plateMFP(gr *torus.Grid, pl plate, idx int) mfpMemo {
+	m := &c.plates[idx]
+	if m.gen == c.gen {
 		c.hits++
-		return s.part, s.size
+		return *m
 	}
 	c.misses++
-	part, size := maxFreeProbeWith(&c.scratch, gr, p)
-	*s = mfpSlot{geom: geom, hash: h, part: part, size: size, used: true}
-	return part, size
+	part, size := maxFreeWith(&c.scratch, gr, pl)
+	*m = mfpMemo{c.gen, part, size}
+	return *m
 }
 
-// MaxFreeAll is the package-level MaxFreeAll on the cache's own
-// scratch, keeping the per-decision maximal-rectangle enumeration off
-// the shared pool. Results are not memoized in the slot table — the
-// caller caches the list for the decision it serves. A nil cache
-// degrades to the pooled computation.
-func (c *MFPCache) MaxFreeAll(gr *torus.Grid, buf []torus.Partition) ([]torus.Partition, int) {
-	if c == nil {
-		return MaxFreeAll(gr, buf)
-	}
-	return maxFreeAllWith(&c.scratch, gr, buf)
-}
-
-// maxFreeProbeWith is maxFreeWith with the nodes of p treated as busy,
-// via the scratch's blocked overlay (marked before, cleared after).
-func maxFreeProbeWith(sc *mfpScratch, gr *torus.Grid, p torus.Partition) (torus.Partition, int) {
-	g := gr.Geometry()
-	sc.ensure(g)
-	g.ForEachNode(p, func(id int) bool { sc.blocked[id] = true; return true })
-	part, size := maxFreeWith(sc, gr)
-	g.ForEachNode(p, func(id int) bool { sc.blocked[id] = false; return true })
-	return part, size
-}
-
-// Stats reports cache hits and misses since construction.
+// Stats reports plate lookups answered from the memo (hits) and swept
+// (misses) since construction; a nil cache reports zeros.
 func (c *MFPCache) Stats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0

@@ -4,8 +4,8 @@
 // exhaustive, POP projection, shape enumeration and the cached fast
 // path — and fails on any divergence in feasibility (one algorithm
 // finds candidates another does not), candidate sets, per-candidate
-// validity (rectangular, fully free, exactly the requested size), or
-// the maximal-free-partition size.
+// validity (rectangular, fully free, exactly the requested size), the
+// maximal-free-partition size, or the MFP cache's probe of a placement.
 //
 // The paper's finders are pure functions of the occupancy grid, which
 // makes exact differential testing possible: FreEPARTS is a defined
@@ -171,6 +171,7 @@ func Replay(g torus.Geometry, ops []Op, finders []partition.Finder) (*Report, er
 		finders = DefaultFinders()
 	}
 	gr := torus.NewGrid(g)
+	mfp := partition.NewMFPCache() // one memo across the whole replay
 	rep := &Report{}
 	var live []liveAlloc
 	nextOwner := int64(1)
@@ -180,7 +181,7 @@ func Replay(g torus.Geometry, ops []Op, finders []partition.Finder) (*Report, er
 		switch op.Kind % opKinds {
 		case OpQuery:
 			size := clampSize(op.Size, g)
-			if _, err := checkQuery(rep, gr, size, finders, i, op); err != nil {
+			if _, err := checkQuery(rep, gr, mfp, size, finders, i, op); err != nil {
 				return rep, err
 			}
 			if err := checkMFP(gr, i, op); err != nil {
@@ -188,7 +189,7 @@ func Replay(g torus.Geometry, ops []Op, finders []partition.Finder) (*Report, er
 			}
 		case OpAlloc:
 			size := clampSize(op.Size, g)
-			cands, err := checkQuery(rep, gr, size, finders, i, op)
+			cands, err := checkQuery(rep, gr, mfp, size, finders, i, op)
 			if err != nil {
 				return rep, err
 			}
@@ -229,7 +230,7 @@ func Replay(g torus.Geometry, ops []Op, finders []partition.Finder) (*Report, er
 			// Every finder must agree on the restored grid exactly as it
 			// did on the original.
 			size := clampSize(op.Size, g)
-			if _, err := checkQuery(rep, gr, size, finders, i, op); err != nil {
+			if _, err := checkQuery(rep, gr, mfp, size, finders, i, op); err != nil {
 				return rep, err
 			}
 			if err := checkMFP(gr, i, op); err != nil {
@@ -256,10 +257,16 @@ func Replay(g torus.Geometry, ops []Op, finders []partition.Finder) (*Report, er
 	return rep, nil
 }
 
+// probeSample bounds the reference candidates per query whose MFP
+// probe checkQuery compares with the brute-force oracle.
+const probeSample = 2
+
 // checkQuery runs every finder for size, validates each candidate of
-// each finder, and verifies all result sets are identical to the
-// reference (finders[0]). Returns the reference candidates.
-func checkQuery(rep *Report, gr *torus.Grid, size int, finders []partition.Finder, opIndex int, op Op) ([]torus.Partition, error) {
+// each finder, verifies all result sets are identical to the reference
+// (finders[0]), and compares mfp's probe of up to probeSample evenly
+// spaced reference candidates with the brute-force MFP of the grid with
+// that candidate allocated. Returns the reference candidates.
+func checkQuery(rep *Report, gr *torus.Grid, mfp *partition.MFPCache, size int, finders []partition.Finder, opIndex int, op Op) ([]torus.Partition, error) {
 	rep.Queries++
 	g := gr.Geometry()
 	ref := finders[0].FreeOfSize(gr, size)
@@ -288,6 +295,19 @@ func checkQuery(rep *Report, gr *torus.Grid, size int, finders []partition.Finde
 						j, got[j], finders[0].Name(), ref[j]),
 					Grid: DumpGrid(gr),
 				}
+			}
+		}
+	}
+	for i := 0; i < len(ref); i += (len(ref) + probeSample - 1) / probeSample {
+		part, got := mfp.MaxFreeProbe(gr, ref[i])
+		after := gr.Clone()
+		if err := after.Allocate(ref[i], -1); err != nil {
+			return nil, err
+		}
+		if detail := naiveMismatch(after, part, got); detail != "" {
+			return nil, &DivergenceError{
+				OpIndex: opIndex, Op: op, Size: size, Finder: "mfp-probe",
+				Detail: fmt.Sprintf("probe of %v: %s", ref[i], detail), Grid: DumpGrid(gr),
 			}
 		}
 	}
@@ -330,28 +350,30 @@ func validateSet(g torus.Geometry, gr *torus.Grid, ps []torus.Partition, size in
 }
 
 // checkMFP cross-checks the incremental MaxFree against the brute-
-// force oracle: equal sizes, and a reported partition that is valid,
-// free and of the reported size (whenever the machine is not full).
+// force oracle.
 func checkMFP(gr *torus.Grid, opIndex int, op Op) error {
-	g := gr.Geometry()
 	part, got := partition.MaxFree(gr)
-	_, want := partition.MaxFreeNaive(gr)
-	fail := func(detail string) error {
+	if detail := naiveMismatch(gr, part, got); detail != "" {
 		return &DivergenceError{
 			OpIndex: opIndex, Op: op, Finder: "maxfree",
-			Detail: detail, Grid: DumpGrid(gr),
+			Detail: "MaxFree " + detail, Grid: DumpGrid(gr),
 		}
 	}
-	if got != want {
-		return fail(fmt.Sprintf("MaxFree size %d, naive oracle %d", got, want))
-	}
-	if got == 0 {
-		return nil
-	}
-	if !g.ValidPartition(part) || part.Size() != got || !gr.PartitionFree(part) {
-		return fail(fmt.Sprintf("MaxFree partition %v invalid for reported size %d", part, got))
-	}
 	return nil
+}
+
+// naiveMismatch describes how an MFP answer for gr departs from the
+// brute-force oracle — a different size, or a reported partition that
+// is not valid, free and of the reported size (whenever the machine is
+// not full) — or returns "" when it agrees.
+func naiveMismatch(gr *torus.Grid, part torus.Partition, got int) string {
+	if _, want := partition.MaxFreeNaive(gr); got != want {
+		return fmt.Sprintf("size %d, naive oracle %d", got, want)
+	}
+	if got > 0 && !(gr.Geometry().ValidPartition(part) && part.Size() == got && gr.PartitionFree(part)) {
+		return fmt.Sprintf("partition %v invalid for reported size %d", part, got)
+	}
+	return ""
 }
 
 // partitionLess is the finders' output order: shape-major, then base.

@@ -225,6 +225,47 @@ func TestMaxFreeMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestMaxFreeProbeMatchesNaive checks the plate identity behind
+// MFPCache.MaxFreeProbe on asymmetric tori and meshes, including a
+// one-wide axis every placement spans: on random grids, the probe of
+// every free partition of a few sizes equals the brute-force MFP of the
+// grid with that partition allocated, and its partition is free there.
+// One cache serves every grid, so its occupancy key is exercised too.
+func TestMaxFreeProbeMatchesNaive(t *testing.T) {
+	c := NewMFPCache()
+	probes := 0
+	for _, g := range []torus.Geometry{
+		torus.NewGeometry(3, 5, 7, true), torus.NewGeometry(3, 5, 7, false),
+		torus.NewGeometry(1, 4, 6, true), torus.NewGeometry(5, 2, 3, false),
+	} {
+		for seed := int64(0); seed < 4; seed++ {
+			gr := randomGrid(t, g, 0.1+0.2*float64(seed), 700+seed)
+			for _, size := range []int{1, 2, 4, 6} {
+				for _, p := range (ShapeFinder{}).FreeOfSize(gr, size) {
+					part, got := c.MaxFreeProbe(gr, p)
+					if err := gr.Allocate(p, -1); err != nil {
+						t.Fatal(err)
+					}
+					_, want := MaxFreeNaive(gr)
+					free := got == 0 || part.Size() == got && gr.PartitionFree(part)
+					if err := gr.Release(p, -1); err != nil {
+						t.Fatal(err)
+					}
+					if got != want || !free {
+						t.Fatalf("%s seed %d: probe of %v = %v size %d, naive %d",
+							g.Spec(), seed, p, part, got, want)
+					}
+					probes++
+				}
+			}
+		}
+	}
+	if hits, _ := c.Stats(); probes < 1000 || hits == 0 {
+		t.Fatalf("%d probes, %d plate hits: the draws are too thin", probes, hits)
+	}
+	t.Logf("%d probes", probes)
+}
+
 func TestMaxFreeEmptyAndFull(t *testing.T) {
 	g := torus.BlueGeneL()
 	gr := torus.NewGrid(g)

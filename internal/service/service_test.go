@@ -492,7 +492,7 @@ func TestFigureSweepEndpoint(t *testing.T) {
 }
 
 func TestValidationErrors(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxJobs: 100})
+	s, ts := newTestServer(t, Config{MaxJobs: 2000})
 	cases := []struct {
 		name, body string
 		status     int
@@ -500,6 +500,8 @@ func TestValidationErrors(t *testing.T) {
 		{"unknown scheduler", `{"Scheduler":"quantum"}`, 400},
 		{"oversized jobcount", `{"JobCount":5000}`, 400},
 		{"bad machine", `{"Machine":"not-a-machine"}`, 400},
+		{"oversized machine", `{"Machine":"65x4x8"}`, 400},
+		{"overflowing machine", `{"Machine":"3037000500x3037000500x1"}`, 400},
 		{"bad workload", `{"Workload":"KRONOS"}`, 400},
 		{"bad finder", `{"Finder":"psychic"}`, 400},
 		{"param range", `{"Param":1.5}`, 400},

@@ -18,10 +18,11 @@ var gridIDs atomic.Uint64
 // occupancy summaries, updated in O(1) per node on every allocate and
 // release (so O(partition volume) per operation):
 //
-//   - a Zobrist-style occupancy hash of the free/busy pattern, whole
-//     grid and per z-column, used by caching partition finders to
-//     detect state changes (and state *recurrences*: an allocate
-//     followed by the matching release restores the hash);
+//   - the exact free/busy pattern as a bitset, the key of memos that
+//     must never answer for another state;
+//   - a Zobrist-style occupancy hash of the free/busy pattern, which
+//     caching partition finders use as a slot index (an allocate
+//     followed by the matching release restores it);
 //   - per-z-column busy counts (the projection of the occupancy onto
 //     the x-y plane);
 //   - per-axis plane busy counts (the projection onto each axis).
@@ -35,8 +36,8 @@ type Grid struct {
 	freeCount int
 
 	id        uint64   // process-unique identity, fresh per NewGrid/Clone
+	busy      []uint64 // busy bitset: bit id%64 of word id/64 set iff node id is allocated
 	hash      uint64   // occupancy hash of the free/busy pattern
-	colHash   []uint64 // occupancy hash per z-column (len X*Y)
 	colBusy   []int    // busy nodes per z-column (len X*Y)
 	planeBusy [3][]int // busy nodes per plane orthogonal to x, y, z
 
@@ -57,7 +58,7 @@ func NewGrid(g Geometry) *Grid {
 		owner:     make([]int64, g.N()),
 		freeCount: g.N(),
 		id:        gridIDs.Add(1),
-		colHash:   make([]uint64, g.Dims.X*g.Dims.Y),
+		busy:      make([]uint64, (g.N()+63)/64),
 		colBusy:   make([]int, g.Dims.X*g.Dims.Y),
 		planeBusy: [3][]int{
 			make([]int, g.Dims.X),
@@ -85,17 +86,21 @@ func (gr *Grid) OwnerAt(id int) int64 { return gr.owner[id] }
 // grids (unlike pointer keys, which the allocator may reuse).
 func (gr *Grid) ID() uint64 { return gr.id }
 
+// Occupancy returns the grid's exact free/busy pattern as a bitset:
+// bit id%64 of word id/64 is set iff node id is allocated (two words
+// on the 4x4x8 machine). Unlike OccupancyHash it cannot collide, so
+// memos compare it before answering. The slice is the grid's own
+// storage, updated in place by later operations; callers must copy
+// what they keep and must not modify it.
+func (gr *Grid) Occupancy() []uint64 { return gr.busy }
+
 // OccupancyHash returns a 64-bit hash of the grid's free/busy pattern
 // (owner identities do not contribute). It is maintained incrementally:
 // flipping a node XORs a fixed per-node key, so any sequence of
 // operations that restores the occupancy pattern restores the hash.
-// Caching finders use it as their invalidation key.
+// Distinct patterns can share a hash, so it serves as a slot index,
+// never as proof that two states are equal.
 func (gr *Grid) OccupancyHash() uint64 { return gr.hash }
-
-// ColumnHash returns the occupancy hash restricted to z-column col
-// (col = x*DimsY + y). Finders use it to resynchronise per-column
-// derived state only for the columns that actually changed.
-func (gr *Grid) ColumnHash(col int) uint64 { return gr.colHash[col] }
 
 // ColumnBusy returns the number of allocated nodes in z-column col:
 // the occupancy projected onto the x-y plane.
@@ -109,7 +114,7 @@ func (gr *Grid) PlaneBusy(axis, k int) int { return gr.planeBusy[axis][k] }
 // AddColumnWatcher registers a callback invoked whenever the occupancy
 // of a z-column changes (once per node flip, so a watcher typically
 // dedupes). Caching finders use it to mark derived per-column state
-// dirty instead of re-scanning every column hash on each query. The
+// dirty instead of re-scanning every column on each query. The
 // returned handle removes the watcher via RemoveColumnWatcher. Watchers
 // are not copied by Clone: derived state is attached to one grid
 // identity.
@@ -154,8 +159,8 @@ func nodeKey(id int) uint64 {
 func (gr *Grid) flip(id, delta int) {
 	k := nodeKey(id)
 	col := id / gr.geom.Dims.Z
+	gr.busy[id>>6] ^= 1 << (id & 63)
 	gr.hash ^= k
-	gr.colHash[col] ^= k
 	gr.colBusy[col] += delta
 	gr.planeBusy[0][col/gr.geom.Dims.Y] += delta
 	gr.planeBusy[1][col%gr.geom.Dims.Y] += delta
@@ -163,20 +168,6 @@ func (gr *Grid) flip(id, delta int) {
 	if len(gr.watchers) > 0 {
 		gr.notifyCol(col)
 	}
-}
-
-// PartitionHashDelta returns the XOR of the Zobrist keys of p's nodes:
-// exactly the amount OccupancyHash changes by when every node of p
-// flips between free and busy. It is read-only, letting callers
-// evaluate hypothetical placements (hash of "grid with p allocated")
-// without mutating the grid or firing watchers.
-func (gr *Grid) PartitionHashDelta(p Partition) uint64 {
-	var d uint64
-	gr.geom.ForEachNode(p, func(id int) bool {
-		d ^= nodeKey(id)
-		return true
-	})
-	return d
 }
 
 // PartitionFree reports whether every node of p is unallocated.
@@ -244,8 +235,8 @@ func (gr *Grid) Clone() *Grid {
 		owner:     append([]int64(nil), gr.owner...),
 		freeCount: gr.freeCount,
 		id:        gridIDs.Add(1),
+		busy:      append([]uint64(nil), gr.busy...),
 		hash:      gr.hash,
-		colHash:   append([]uint64(nil), gr.colHash...),
 		colBusy:   append([]int(nil), gr.colBusy...),
 	}
 	for a := range gr.planeBusy {
@@ -258,25 +249,24 @@ func (gr *Grid) Clone() *Grid {
 // receiver's identity and watchers. It is the allocation-free
 // counterpart of Clone for reusable scratch grids: a stable identity
 // lets caching finders keep one derived state for the scratch instead
-// of rebuilding per clone. Column watchers fire for every column whose
-// occupancy differs between the old and new contents, so derived state
-// stays exactly as fresh as it would under individual flips. The
-// geometries must match.
+// of rebuilding per clone. Column watchers fire once per node whose
+// occupancy differs between the old and new contents, exactly as
+// individual flips would fire them. The geometries must match.
 func (gr *Grid) CopyFrom(src *Grid) error {
 	if gr.geom != src.geom {
 		return fmt.Errorf("torus: CopyFrom geometry mismatch: %s vs %s", gr.geom.Spec(), src.geom.Spec())
 	}
 	if len(gr.watchers) > 0 {
-		for col := range gr.colHash {
-			if gr.colHash[col] != src.colHash[col] {
-				gr.notifyCol(col)
+		for id, o := range src.owner {
+			if (o == FreeOwner) != (gr.owner[id] == FreeOwner) {
+				gr.notifyCol(id / gr.geom.Dims.Z)
 			}
 		}
 	}
 	copy(gr.owner, src.owner)
+	copy(gr.busy, src.busy)
 	gr.freeCount = src.freeCount
 	gr.hash = src.hash
-	copy(gr.colHash, src.colHash)
 	copy(gr.colBusy, src.colBusy)
 	for a := range gr.planeBusy {
 		copy(gr.planeBusy[a], src.planeBusy[a])
@@ -287,7 +277,7 @@ func (gr *Grid) CopyFrom(src *Grid) error {
 // Owners returns a copy of the raw owner array, one owner id per dense
 // node id (FreeOwner for unallocated nodes). It is the grid's complete
 // source-of-truth state: every incremental summary — free count,
-// occupancy hashes, column and plane projections — is derived from it,
+// occupancy bitset and hash, projections — is derived from it,
 // which is what makes NewGridFromOwners an exact restore.
 func (gr *Grid) Owners() []int64 {
 	return append([]int64(nil), gr.owner...)
@@ -297,8 +287,8 @@ func (gr *Grid) Owners() []int64 {
 // owner array, rebuilding every incremental summary from scratch. The
 // result carries a fresh grid identity, so finder caches keyed by grid
 // id can never serve state from the pre-snapshot grid; the occupancy
-// hashes, being pure functions of the free/busy pattern, come out equal
-// to the original's.
+// bitset and hash, being pure functions of the free/busy pattern, come
+// out equal to the original's.
 func NewGridFromOwners(g Geometry, owners []int64) (*Grid, error) {
 	if len(owners) != g.N() {
 		return nil, fmt.Errorf("torus: owner array has %d entries, geometry %s has %d nodes",

@@ -2,6 +2,7 @@ package torus
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -222,7 +223,7 @@ func assertSummaries(t *testing.T, gr *Grid) {
 	g := gr.Geometry()
 	dims := g.Dims
 	var hash uint64
-	colHash := make([]uint64, dims.X*dims.Y)
+	occ := make([]uint64, (g.N()+63)/64)
 	colBusy := make([]int, dims.X*dims.Y)
 	plane := [3][]int{make([]int, dims.X), make([]int, dims.Y), make([]int, dims.Z)}
 	free := 0
@@ -233,8 +234,8 @@ func assertSummaries(t *testing.T, gr *Grid) {
 		}
 		k := nodeKey(id)
 		col := id / dims.Z
+		occ[id/64] |= 1 << (id % 64)
 		hash ^= k
-		colHash[col] ^= k
 		colBusy[col]++
 		c := g.CoordOf(id)
 		plane[0][c.X]++
@@ -247,12 +248,12 @@ func assertSummaries(t *testing.T, gr *Grid) {
 	if gr.OccupancyHash() != hash {
 		t.Errorf("OccupancyHash = %#x, recomputed %#x", gr.OccupancyHash(), hash)
 	}
+	if !slices.Equal(gr.Occupancy(), occ) {
+		t.Errorf("Occupancy = %#x, recomputed %#x", gr.Occupancy(), occ)
+	}
 	for col := range colBusy {
 		if gr.ColumnBusy(col) != colBusy[col] {
 			t.Errorf("ColumnBusy(%d) = %d, recomputed %d", col, gr.ColumnBusy(col), colBusy[col])
-		}
-		if gr.ColumnHash(col) != colHash[col] {
-			t.Errorf("ColumnHash(%d) = %#x, recomputed %#x", col, gr.ColumnHash(col), colHash[col])
 		}
 	}
 	for axis := 0; axis < 3; axis++ {
@@ -298,6 +299,42 @@ func TestGridOccupancyHashRecurrence(t *testing.T) {
 	}
 	if cl := other.Clone(); cl.OccupancyHash() != busy || cl.ID() == other.ID() {
 		t.Fatal("clone must keep the hash and get a fresh ID")
+	}
+}
+
+// TestGridOccupancyCopies: Clone, CopyFrom and NewGridFromOwners carry
+// the exact occupancy bitset over (on a geometry whose node count is
+// not a multiple of 64), and a clone's bitset is its own storage.
+func TestGridOccupancyCopies(t *testing.T) {
+	g := NewGeometry(3, 5, 7, true)
+	gr := NewGrid(g)
+	p := Partition{Base: Coord{2, 4, 6}, Shape: Shape{2, 3, 4}} // wraps all axes
+	if err := gr.Allocate(p, 1); err != nil {
+		t.Fatal(err)
+	}
+	assertSummaries(t, gr)
+	cl := gr.Clone()
+	assertSummaries(t, cl)
+	restored, err := NewGridFromOwners(g, gr.Owners())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSummaries(t, restored)
+	if !slices.Equal(restored.Occupancy(), gr.Occupancy()) {
+		t.Fatal("restored grid's occupancy differs")
+	}
+	if err := cl.Release(p, 1); err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(cl.Occupancy(), gr.Occupancy()) {
+		t.Fatal("clone shares the original's occupancy storage")
+	}
+	if err := cl.CopyFrom(gr); err != nil {
+		t.Fatal(err)
+	}
+	assertSummaries(t, cl)
+	if !slices.Equal(cl.Occupancy(), gr.Occupancy()) {
+		t.Fatal("CopyFrom left the occupancy behind")
 	}
 }
 

@@ -64,8 +64,14 @@ func NewGeometry(x, y, z int, wrap bool) Geometry {
 // BlueGeneL returns the 4x4x8 supernode torus used throughout the paper.
 func BlueGeneL() Geometry { return NewGeometry(4, 4, 8, true) }
 
+// MaxDim is the largest extent Parse accepts on any axis. The largest
+// machine in use is the 32x32x64 compute-node torus; the bound keeps
+// the node count far from overflow and per-grid memory bounded.
+const MaxDim = 64
+
 // Parse builds a geometry from a spec like "4x4x8" (torus) or
-// "4x4x8/mesh". It is the format the command-line tools accept.
+// "4x4x8/mesh". It is the format the command-line tools and the
+// service accept, so it refuses any dimension outside [1, MaxDim].
 func Parse(spec string) (Geometry, error) {
 	wrap := true
 	if i := strings.IndexByte(spec, '/'); i >= 0 {
@@ -85,8 +91,8 @@ func Parse(spec string) (Geometry, error) {
 	dims := make([]int, 3)
 	for i, p := range parts {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 1 {
-			return Geometry{}, fmt.Errorf("torus: bad dimension %q in %q", p, spec)
+		if err != nil || v < 1 || v > MaxDim {
+			return Geometry{}, fmt.Errorf("torus: bad dimension %q in %q (want 1..%d)", p, spec, MaxDim)
 		}
 		dims[i] = v
 	}

@@ -375,6 +375,33 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseBoundsDimensions: a spec is refused once any dimension
+// exceeds MaxDim, before anything sized by it is allocated — including
+// specs whose node count overflows int or would need gigabytes.
+func TestParseBoundsDimensions(t *testing.T) {
+	cases := []struct {
+		spec string
+		ok   bool
+	}{
+		{"32x32x64", true},
+		{"64x64x64/mesh", true},
+		{"65x4x8", false},
+		{"4x4x65/mesh", false},
+		{"1000x1000x1000", false},
+		{"3037000500x3037000500x1", false},
+		{"9223372036854775807x1x1", false},
+	}
+	for _, tc := range cases {
+		g, err := Parse(tc.spec)
+		if tc.ok != (err == nil) {
+			t.Errorf("Parse(%q) = %v, %v; want ok=%v", tc.spec, g, err, tc.ok)
+		}
+		if err == nil && g.N() > MaxDim*MaxDim*MaxDim {
+			t.Errorf("Parse(%q) has %d nodes", tc.spec, g.N())
+		}
+	}
+}
+
 func TestSpecRoundTrip(t *testing.T) {
 	for _, g := range []Geometry{BlueGeneL(), NewGeometry(8, 8, 8, false)} {
 		back, err := Parse(g.Spec())
