@@ -29,10 +29,9 @@ type PlacementContext struct {
 	// itself stays free — hence MFP(after) == MFPBefore exactly,
 	// without a probe.
 	MFPPart torus.Partition
-	// MFP answers the policies' MFP questions about Grid — the maximal
-	// free rectangles and the probes of hypothetical placements —
-	// memoized per exact occupancy state (see partition.MFPCache). It
-	// is required.
+	// MFP answers the policies' probes of hypothetical placements on
+	// Grid, memoized per exact occupancy state (see
+	// partition.MFPCache). It is required.
 	MFP *partition.MFPCache
 
 	// Policy scratch, reused across Choose calls by a scheduler that
@@ -71,20 +70,8 @@ func (ctx *PlacementContext) mfpShortcut() bool {
 func mfpAfter(ctx *PlacementContext, p torus.Partition) (int, error) {
 	gr := ctx.Grid
 	g := gr.Geometry()
-	if ctx.mfpShortcut() {
-		if !g.Overlaps(p, ctx.MFPPart) {
-			return ctx.MFPBefore, nil
-		}
-		// Exact, not heuristic: after == MFPBefore iff p is disjoint
-		// from at least one maximal free rectangle (that rectangle
-		// stays free; conversely a surviving MFP-sized rectangle was
-		// already maximal). Only placements cutting into every maximal
-		// rectangle still need a probe.
-		for _, m := range ctx.MFP.MaxRects(gr) {
-			if !g.Overlaps(p, m) {
-				return ctx.MFPBefore, nil
-			}
-		}
+	if ctx.mfpShortcut() && !g.Overlaps(p, ctx.MFPPart) {
+		return ctx.MFPBefore, nil
 	}
 	if !g.ValidPartition(p) || !gr.PartitionFree(p) {
 		return 0, errProbe(p)

@@ -121,7 +121,7 @@ type Scheduler struct {
 	resCands []torus.Partition  // candidate buffer for reservation probes
 	started  []Decision         // returned by Schedule; valid until the next call
 	resRun   []Running          // running ∪ fresh starts, for the reservation
-	scratch  *torus.Grid        // reservation scratch (stable identity)
+	scratch  *torus.Grid        // reservation scratch, refilled by CopyFrom
 	sorter   runningByExpFinish // reusable sort.Interface for the drain order
 	noFit    []uint8            // per-size no-fit memo of one Schedule call, indexed by size
 }
@@ -360,10 +360,9 @@ type reservationState struct {
 // reservation simulates the estimated completions of running jobs on a
 // scratch grid to find the earliest time the head job fits, and the
 // partition it would then occupy. The scratch grid is reused across
-// calls under a stable identity (CopyFrom instead of Clone), so the
-// finder keeps one derived state for it and resynchronises only the
-// columns that changed; running may be sorted in place (callers pass
-// the scheduler's own buffer).
+// calls (CopyFrom instead of Clone), so a reservation allocates no
+// grid; running may be sorted in place (callers pass the scheduler's
+// own buffer).
 func (s *Scheduler) reservation(gr *torus.Grid, head *job.Job, running []Running, now float64) (reservationState, error) {
 	s.met.reservations.Inc()
 	if s.scratch == nil || s.scratch.Geometry() != gr.Geometry() {

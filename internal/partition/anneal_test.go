@@ -27,7 +27,7 @@ func annealGrid(t *testing.T, fill float64, seed int64) *torus.Grid {
 
 // The annealed placement is a pure function of (seed, occupancy hash,
 // candidate set): repeated calls, a different finder instance with the
-// same seed, and a grid rebuilt from Owners (fresh grid identity, same
+// same seed, and a grid rebuilt from Owners (a new grid, same
 // occupancy) must all pick the same candidate.
 func TestAnnealPlaceDeterministic(t *testing.T) {
 	gr := annealGrid(t, 0.4, 3)

@@ -1,8 +1,8 @@
 // Package partition implements the free-partition search algorithms the
 // scheduler relies on: the naive exhaustive search, a Projection-of-
 // Partitions (POP) style dynamic-programming finder in the spirit of
-// Krevat et al., and the paper's shape-enumeration finder (Appendix 9)
-// with lazily built run-length tables and early termination.
+// Krevat et al., and the paper's shape-enumeration finder (Appendix 9),
+// which reads a base's free z-windows from one-word column bitsets.
 //
 // All finders return exactly the same set of partitions; they differ
 // only in asymptotic cost. The set is the paper's FREEPARTS: every
@@ -222,31 +222,23 @@ func computeRunsBool(vals []bool, wrap bool, runs []int) {
 // mfpScratch holds reusable buffers for MaxFree; pooled to keep the
 // hot placement-evaluation path allocation-free.
 type mfpScratch struct {
-	zRuns  []int  // per-node z run lengths
-	freeOK []bool // per-node free-and-outside-the-plate flags
-	colOK  []bool // dimX*dimY projected plane
-	yRun   []int  // dimX*dimY y-run lengths on the plane
-	rowOK  []bool // dimX row flags
-	xRun   []int  // dimX x-run lengths
+	cols  []uint64 // dimX*dimY column words: busy or blocked by the plate
+	colOK []bool   // dimX*dimY projected plane
+	yRun  []int    // dimX*dimY y-run lengths on the plane
+	rowOK []bool   // dimX row flags
+	xRun  []int    // dimX x-run lengths
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(mfpScratch) }}
 
 func (s *mfpScratch) ensure(g torus.Geometry) {
-	n := g.N()
 	plane := g.Dims.X * g.Dims.Y
-	if cap(s.zRuns) < n {
-		s.zRuns = make([]int, n)
-	}
-	s.zRuns = s.zRuns[:n]
-	if cap(s.freeOK) < n {
-		s.freeOK = make([]bool, n)
-	}
-	s.freeOK = s.freeOK[:n]
 	if cap(s.colOK) < plane {
+		s.cols = make([]uint64, plane)
 		s.colOK = make([]bool, plane)
 		s.yRun = make([]int, plane)
 	}
+	s.cols = s.cols[:plane]
 	s.colOK = s.colOK[:plane]
 	s.yRun = s.yRun[:plane]
 	if cap(s.rowOK) < g.Dims.X {
@@ -275,21 +267,24 @@ func (pl plate) covers(axis, k, dim int) bool {
 	return k < pl.start+pl.length
 }
 
-// fillZRuns computes per-column z run lengths of the nodes that are
-// free and outside pl.
-func (s *mfpScratch) fillZRuns(gr *torus.Grid, pl plate) {
-	g := gr.Geometry()
-	dims := g.Dims
-	id := 0
+// fillCols sets one word per z-column: the column's busy bits with pl
+// OR-ed in, a z-plate as its window and an x- or y-plate as the whole
+// column.
+func (s *mfpScratch) fillCols(gr *torus.Grid, pl plate) {
+	dims := gr.Geometry().Dims
+	var zPlate uint64
+	if pl.axis == 2 {
+		zPlate = windowMask(dims.Z, pl.start, pl.length)
+	}
+	col := 0
 	for x := 0; x < dims.X; x++ {
 		for y := 0; y < dims.Y; y++ {
-			open := !pl.covers(0, x, dims.X) && !pl.covers(1, y, dims.Y)
-			col := s.freeOK[id : id+dims.Z]
-			for z := range col {
-				col[z] = open && !pl.covers(2, z, dims.Z) && gr.NodeFree(id+z)
+			if pl.covers(0, x, dims.X) || pl.covers(1, y, dims.Y) {
+				s.cols[col] = lowBits(dims.Z)
+			} else {
+				s.cols[col] = gr.ColumnBits(col) | zPlate
 			}
-			computeRunsBool(col, g.Wrap, s.zRuns[id:id+dims.Z])
-			id += dims.Z
+			col++
 		}
 	}
 }
@@ -316,7 +311,7 @@ func maxFreeWith(sc *mfpScratch, gr *torus.Grid, pl plate) (torus.Partition, int
 	g := gr.Geometry()
 	dims := g.Dims
 	sc.ensure(g)
-	sc.fillZRuns(gr, pl)
+	sc.fillCols(gr, pl)
 
 	best := 0
 	var bestPart torus.Partition
@@ -336,18 +331,15 @@ func maxFreeWith(sc *mfpScratch, gr *torus.Grid, pl plate) (torus.Partition, int
 			if !g.Wrap && bz+sz > dims.Z {
 				continue
 			}
-			// Project: column (x,y) is usable if its z-run covers the
-			// window.
+			// Project: column (x,y) is usable if no bit of its word
+			// lies in the window.
+			win := windowMask(dims.Z, bz, sz)
 			usable := 0
-			for x := 0; x < dims.X; x++ {
-				row := x * dims.Y
-				zrow := row * dims.Z
-				for y := 0; y < dims.Y; y++ {
-					ok := sc.zRuns[zrow+y*dims.Z+bz] >= sz
-					sc.colOK[row+y] = ok
-					if ok {
-						usable++
-					}
+			for col, w := range sc.cols {
+				ok := w&win == 0
+				sc.colOK[col] = ok
+				if ok {
+					usable++
 				}
 			}
 			if usable*sz <= best {
@@ -364,97 +356,6 @@ func maxFreeWith(sc *mfpScratch, gr *torus.Grid, pl plate) (torus.Partition, int
 		}
 	}
 	return bestPart, best
-}
-
-// maxFreeAllWith appends to buf[:0] every maximal free rectangle of gr
-// (see MFPCache.MaxRects). It is the collecting variant of maxFreeWith:
-// same sweep, but pruning only on strictly-worse bounds so ties
-// survive, and every rectangle matching the best volume is emitted.
-// Completeness holds because a maximal rectangle is maximal in every
-// dimension — the sweep's run lengths recover exactly its extents at
-// its own window — and buf is reset whenever the best volume grows, so
-// stale smaller entries never linger.
-func maxFreeAllWith(sc *mfpScratch, gr *torus.Grid, buf []torus.Partition) []torus.Partition {
-	g := gr.Geometry()
-	dims := g.Dims
-	sc.ensure(g)
-	sc.fillZRuns(gr, plate{})
-
-	best := 0
-	buf = buf[:0]
-	plane := dims.X * dims.Y
-	dx, dy := dims.X, dims.Y
-
-	for bz := 0; bz < dims.Z; bz++ {
-		for sz := dims.Z; sz >= 1; sz-- {
-			if plane*sz < best {
-				break
-			}
-			if g.Wrap && sz == dims.Z && bz != 0 {
-				continue
-			}
-			if !g.Wrap && bz+sz > dims.Z {
-				continue
-			}
-			usable := 0
-			for x := 0; x < dx; x++ {
-				row := x * dy
-				zrow := row * dims.Z
-				for y := 0; y < dy; y++ {
-					ok := sc.zRuns[zrow+y*dims.Z+bz] >= sz
-					sc.colOK[row+y] = ok
-					if ok {
-						usable++
-					}
-				}
-			}
-			if usable*sz < best || usable == 0 {
-				continue
-			}
-			for x := 0; x < dx; x++ {
-				row := x * dy
-				computeRunsBool(sc.colOK[row:row+dy], g.Wrap, sc.yRun[row:row+dy])
-			}
-			for by0 := 0; by0 < dy; by0++ {
-				for sy0 := dy; sy0 >= 1; sy0-- {
-					if dx*sy0*sz < best {
-						break
-					}
-					if g.Wrap && sy0 == dy && by0 != 0 {
-						continue
-					}
-					if !g.Wrap && by0+sy0 > dy {
-						continue
-					}
-					for x := 0; x < dx; x++ {
-						sc.rowOK[x] = sc.yRun[x*dy+by0] >= sy0
-					}
-					computeRunsBool(sc.rowOK[:dx], g.Wrap, sc.xRun)
-					for x := 0; x < dx; x++ {
-						r := sc.xRun[x]
-						if r == 0 {
-							continue
-						}
-						if g.Wrap && r == dx && x != 0 {
-							continue
-						}
-						a := r * sy0 * sz
-						if a > best {
-							best = a
-							buf = buf[:0]
-						}
-						if a == best {
-							buf = append(buf, torus.Partition{
-								Base:  torus.Coord{X: x, Y: by0, Z: bz},
-								Shape: torus.Shape{X: r, Y: sy0, Z: sz},
-							})
-						}
-					}
-				}
-			}
-		}
-	}
-	return buf
 }
 
 // MaxFreeSize returns just the size of the maximal free partition.

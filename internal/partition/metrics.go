@@ -19,10 +19,8 @@ import (
 //
 // The fast finder additionally reports its cache behaviour:
 //
-//	cache_hits          queries answered from the memoized result cache
-//	cache_misses        queries that had to enumerate
-//	cache_invalidations z-columns of derived occupancy state rebuilt
-//	                    because the underlying grid changed
+//	cache_hits    queries answered from the memoized result cache
+//	cache_misses  queries that had to enumerate
 type Metrics struct {
 	Calls        *telemetry.Counter
 	Candidates   *telemetry.Histogram
@@ -31,9 +29,8 @@ type Metrics struct {
 	NoShapeExits *telemetry.Counter
 	Seconds      *telemetry.Timer
 
-	CacheHits          *telemetry.Counter
-	CacheMisses        *telemetry.Counter
-	CacheInvalidations *telemetry.Counter
+	CacheHits   *telemetry.Counter
+	CacheMisses *telemetry.Counter
 }
 
 // NewMetrics resolves the instruments for one algorithm. Returns nil
@@ -56,7 +53,6 @@ func NewMetrics(reg *telemetry.Registry, algo string) *Metrics {
 	if algo == "fast" {
 		m.CacheHits = reg.Counter(prefix + "cache_hits")
 		m.CacheMisses = reg.Counter(prefix + "cache_misses")
-		m.CacheInvalidations = reg.Counter(prefix + "cache_invalidations")
 	}
 	return m
 }
@@ -103,14 +99,12 @@ func (m *Metrics) cacheHit() {
 	m.CacheHits.Inc()
 }
 
-// cacheMiss records a query that enumerated, plus how many columns of
-// derived occupancy state the miss had to rebuild; safe on nil.
-func (m *Metrics) cacheMiss(rebuiltColumns int) {
+// cacheMiss records a query that had to enumerate; safe on nil.
+func (m *Metrics) cacheMiss() {
 	if m == nil {
 		return
 	}
 	m.CacheMisses.Inc()
-	m.CacheInvalidations.Add(int64(rebuiltColumns))
 }
 
 // Instrumented wires reg into a copy of each known finder kind (in

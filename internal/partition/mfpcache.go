@@ -7,8 +7,8 @@ import (
 )
 
 // MFPCache memoizes the maximal-free-partition questions a scheduler
-// asks about one occupancy state: MaxFree, the maximal free rectangles,
-// and MaxFree of the grid with a hypothetical placement p added.
+// asks about one occupancy state: MaxFree, and MaxFree of the grid
+// with a hypothetical placement p added.
 //
 // Probes rest on an exact identity. Two boxes are disjoint iff their
 // projections are disjoint on some axis, so a box that stays free
@@ -30,8 +30,6 @@ type MFPCache struct {
 	gen     uint64   // bumped per state; memos of other generations are stale
 	free    mfpMemo
 	plates  []mfpMemo // axis-major, then start, then length-1
-	rects   []torus.Partition
-	rectGen uint64
 	scratch mfpScratch
 	hits    uint64
 	misses  uint64
@@ -69,24 +67,6 @@ func (c *MFPCache) MaxFree(gr *torus.Grid) (torus.Partition, int) {
 		c.free = mfpMemo{c.gen, part, size}
 	}
 	return c.free.part, c.free.size
-}
-
-// MaxRects returns every maximal free rectangle of gr: each free
-// rectangular partition of the MFP size, canonicalised like the
-// finders' output and computed once per occupancy state. The complete
-// set makes the placement policies' no-probe shortcut exact: a
-// placement keeps the MFP size if and only if it is disjoint from one
-// of these rectangles — "if" because that rectangle stays free, "only
-// if" because a free rectangle of MFP size after the placement was
-// already maximal before it. The cache owns the slice; it is valid
-// until a query about another state.
-func (c *MFPCache) MaxRects(gr *torus.Grid) []torus.Partition {
-	c.sync(gr)
-	if c.rectGen != c.gen {
-		c.rects = maxFreeAllWith(&c.scratch, gr, c.rects)
-		c.rectGen = c.gen
-	}
-	return c.rects
 }
 
 // MaxFreeProbe returns MaxFree of gr as it would be with p allocated,

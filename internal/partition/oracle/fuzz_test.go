@@ -8,10 +8,14 @@ import (
 
 // fuzzGeoms are the machines the fuzzer replays on: small enough that
 // the naive reference finder stays cheap per op, torus and mesh so the
-// wraparound logic is under fire too.
+// wraparound logic is under fire too, and 3x5x7, whose z-columns cross
+// a word of the occupancy bitset (column 9 is bits 63-69), so the
+// column-word kernels are too.
 var fuzzGeoms = []torus.Geometry{
 	torus.NewGeometry(3, 3, 4, true),
 	torus.NewGeometry(3, 3, 4, false),
+	torus.NewGeometry(3, 5, 7, true),
+	torus.NewGeometry(3, 5, 7, false),
 }
 
 // maxFuzzOps caps the decoded sequence so a single input cannot stall
@@ -71,7 +75,7 @@ func FuzzFinderEquivalence(f *testing.F) {
 		}
 		for _, g := range fuzzGeoms {
 			if _, err := Replay(g, ops, nil); err != nil {
-				t.Fatalf("wrap=%v: %v", g.Wrap, err)
+				t.Fatalf("%s: %v", g.Spec(), err)
 			}
 		}
 	})

@@ -44,9 +44,10 @@ const (
 	// OpSnapshot round-trips the occupancy grid through its serialized
 	// owner map (the same mechanism simulator snapshot restore uses) and
 	// swaps the live grid for the restored copy, then re-verifies finder
-	// agreement on it. The restored grid has a fresh identity, so a
-	// finder cache keyed on grid identity that survived the swap — stale
-	// state a restore must never inherit — diverges here.
+	// agreement on it. The restored grid is a new Grid with the same
+	// occupancy, so finder state tied to the old grid object that
+	// survived the swap — stale state a restore must never inherit —
+	// diverges here.
 	OpSnapshot
 	opKinds // count sentinel
 )

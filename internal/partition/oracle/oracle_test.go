@@ -10,12 +10,13 @@ import (
 	"bgsched/internal/torus"
 )
 
-// TestOracleRandomizedSequences is the headline differential run the
-// issue demands: over a thousand randomized allocate/free/query
-// sequences replayed against all finder algorithms at once, on small
-// exhaustive geometries (where the naive reference is cheap enough to
-// brute-force every query) and the real BG/L torus. Zero divergence
-// tolerated.
+// TestOracleRandomizedSequences is the headline differential run: over
+// a thousand randomized allocate/free/query sequences replayed against
+// all finder algorithms at once, on small exhaustive geometries (where
+// the naive reference is cheap enough to brute-force every query), on
+// 3x5x7, whose 105 nodes span two bitset words and whose z-columns
+// cross the word boundary (column 9 is bits 63-69), and on the real
+// BG/L torus. Zero divergence tolerated.
 func TestOracleRandomizedSequences(t *testing.T) {
 	cases := []struct {
 		geom torus.Geometry
@@ -24,6 +25,8 @@ func TestOracleRandomizedSequences(t *testing.T) {
 	}{
 		{torus.NewGeometry(3, 3, 4, true), 400, 30},
 		{torus.NewGeometry(3, 3, 4, false), 300, 30},
+		{torus.NewGeometry(3, 5, 7, true), 200, 30},
+		{torus.NewGeometry(3, 5, 7, false), 200, 30},
 		{torus.BlueGeneL(), 350, 25},
 	}
 	totalSeqs := 0

@@ -1,19 +1,22 @@
 package partition
 
 import (
+	"math/bits"
 	"sync"
 
 	"bgsched/internal/torus"
 )
 
 // ShapeFinder is the paper's Appendix 9 partition-finder: for a job of
-// size s it enumerates only the divisor-triple shapes SHAPES(s), scans
-// base locations in increasing (x, y, z) order, and rejects candidates
-// early using run-length information built lazily, on an as-needed
-// basis. On an empty torus the cost is O(M^3 * f(s)^3) where f(s) is
-// the divisor count of s, versus O(M^9) naive and O(M^5) for POP.
-// A query on a grid with fewer free nodes than s returns at once, and
-// a BufferedFinder query allocates nothing once the reused scratch and
+// size s it enumerates only the divisor-triple shapes SHAPES(s) and
+// scans base locations in increasing (x, y, z) order. Where the paper
+// reads z run lengths column by column, this implementation ORs the
+// busy words (torus.Grid.ColumnBits) of a base's x-y footprint and
+// reads every free z-base of that footprint at once (windowBases). On
+// an empty torus the cost is O(M^3 * f(s)^3) where f(s) is the divisor
+// count of s, versus O(M^9) naive and O(M^5) for POP. A query on a
+// grid with fewer free nodes than s returns at once, and a
+// BufferedFinder query allocates nothing once the reused scratch and
 // the caller's buffer have grown.
 type ShapeFinder struct {
 	// Metrics, when non-nil, receives per-call search-cost telemetry.
@@ -23,13 +26,12 @@ type ShapeFinder struct {
 // Name implements Finder.
 func (ShapeFinder) Name() string { return "shape" }
 
-// shapeScratch holds the lazily built run-length tables and the shape
-// list; reused because the scheduler queries the finder on every
+// shapeScratch holds the shape list and the column words of one
+// enumeration; reused because the scheduler queries a finder on every
 // placement attempt.
 type shapeScratch struct {
-	runs    []int
-	haveCol []bool
-	shapes  []torus.Shape
+	shapes []torus.Shape
+	cols   []uint64
 }
 
 // shapeScratches is the free list of shapeScratch, one per concurrent
@@ -71,82 +73,64 @@ func (f ShapeFinder) FreeOfSize(gr *torus.Grid, size int) []torus.Partition {
 // allocating.
 func (f ShapeFinder) FreeOfSizeInto(gr *torus.Grid, size int, buf []torus.Partition) []torus.Partition {
 	sw := f.Metrics.startTimer()
-	g := gr.Geometry()
-	dims := g.Dims
 	out := buf[:0]
-
 	sc := getShapeScratch()
 	defer putShapeScratch(sc)
-	sc.shapes = g.AppendShapesOf(sc.shapes[:0], size)
+	sc.shapes = gr.Geometry().AppendShapesOf(sc.shapes[:0], size)
 	if len(sc.shapes) == 0 {
 		f.Metrics.noShapes(sw)
 		return out
 	}
-	if gr.FreeCount() < size { // fewer free nodes than requested: no candidate exists
-		f.Metrics.observe(sw, 0, 0, 0)
-		return out
+	bases, rejects := 0, 0
+	if gr.FreeCount() >= size { // fewer free nodes than requested: no candidate exists
+		out, bases, rejects = sc.appendFree(gr, out)
+	}
+	f.Metrics.observe(sw, len(out), bases, rejects)
+	return out
+}
+
+// appendFree appends every free partition of each shape in sc.shapes
+// to out in (shape, base x, base y, base z) order, sorted, and returns
+// it with the bases-scanned and early-reject tallies (every base of the
+// range is scanned; every base not returned is rejected). It is the
+// enumeration ShapeFinder and FastFinder share: the busy words of a
+// base's footprint columns are OR-ed into one word, whose free z-bases
+// come out of windowBases.
+func (sc *shapeScratch) appendFree(gr *torus.Grid, out []torus.Partition) ([]torus.Partition, int, int) {
+	g := gr.Geometry()
+	dims := g.Dims
+	sc.cols = sc.cols[:0]
+	for col := 0; col < dims.X*dims.Y; col++ {
+		sc.cols = append(sc.cols, gr.ColumnBits(col))
 	}
 	bases, rejects := 0, 0
-
-	plane := dims.X * dims.Y
-	if cap(sc.runs) < g.N() {
-		sc.runs = make([]int, g.N())
-	}
-	if cap(sc.haveCol) < plane {
-		sc.haveCol = make([]bool, plane)
-	}
-	runs := sc.runs[:g.N()]
-	haveCol := sc.haveCol[:plane]
-	for i := range haveCol {
-		haveCol[i] = false
-	}
-
-	// Lazily built z run lengths: column (x, y) is materialised only
-	// when a candidate first touches it.
-	colRuns := func(x, y int) []int {
-		col := x*dims.Y + y
-		base := col * dims.Z
-		if !haveCol[col] {
-			computeRunsInto(func(z int) bool { return gr.NodeFree(base + z) },
-				dims.Z, g.Wrap, runs[base:base+dims.Z])
-			haveCol[col] = true
-		}
-		return runs[base : base+dims.Z]
-	}
-
 	for _, shape := range sc.shapes {
 		rx := baseRange(dims.X, shape.X, g.Wrap)
 		ry := baseRange(dims.Y, shape.Y, g.Wrap)
 		rz := baseRange(dims.Z, shape.Z, g.Wrap)
 		for bx := 0; bx < rx; bx++ {
 			for by := 0; by < ry; by++ {
-			nextBase:
-				for bz := 0; bz < rz; bz++ {
-					bases++
-					// Check the footprint column by column; the z run
-					// length at bz answers "is the whole z-window free"
-					// in O(1) per column.
-					for dx := 0; dx < shape.X; dx++ {
-						x := bx + dx
-						if x >= dims.X {
-							x -= dims.X
-						}
-						for dy := 0; dy < shape.Y; dy++ {
-							y := by + dy
-							if y >= dims.Y {
-								y -= dims.Y
-							}
-							if colRuns(x, y)[bz] < shape.Z {
-								// Early termination: the base dies on
-								// the first short column, before the
-								// rest of the footprint is touched.
-								rejects++
-								continue nextBase
-							}
-						}
+				var busy uint64
+				for dx := 0; dx < shape.X; dx++ {
+					x := bx + dx
+					if x >= dims.X {
+						x -= dims.X
 					}
+					row := sc.cols[x*dims.Y : (x+1)*dims.Y]
+					for dy := 0; dy < shape.Y; dy++ {
+						y := by + dy
+						if y >= dims.Y {
+							y -= dims.Y
+						}
+						busy |= row[y]
+					}
+				}
+				free := windowBases(busy, dims.Z, shape.Z, g.Wrap) & lowBits(rz)
+				bases += rz
+				rejects += rz - bits.OnesCount64(free)
+				for ; free != 0; free &= free - 1 {
 					out = append(out, torus.Partition{
-						Base:  torus.Coord{X: bx, Y: by, Z: bz},
+						Base:  torus.Coord{X: bx, Y: by, Z: bits.TrailingZeros64(free)},
 						Shape: shape,
 					})
 				}
@@ -154,6 +138,35 @@ func (f ShapeFinder) FreeOfSizeInto(gr *torus.Grid, size int, buf []torus.Partit
 		}
 	}
 	sortPartitions(out)
-	f.Metrics.observe(sw, len(out), bases, rejects)
-	return out
+	return out, bases, rejects
+}
+
+// windowBases returns the z-bases of a dz-bit column word: bit b is set
+// iff no bit of busy lies in the window [b, b+sz), read cyclically on a
+// torus and cut at the top edge on a mesh. Each shift-AND doubles the
+// window length covered, so a window takes O(log sz) steps.
+func windowBases(busy uint64, dz, sz int, wrap bool) uint64 {
+	w := ^busy & lowBits(dz)
+	for have := 1; have < sz; {
+		s := min(have, sz-have)
+		if wrap {
+			w &= w>>s | w<<(dz-s) // rotate right by s within dz bits
+		} else {
+			w &= w >> s
+		}
+		have += s
+	}
+	return w
+}
+
+// windowMask returns the dz-bit column word whose cyclic window
+// [start, start+length) is set, for 0 <= start < dz and length <= dz.
+func windowMask(dz, start, length int) uint64 {
+	m := lowBits(length)
+	return (m<<start | m>>(dz-start)) & lowBits(dz)
+}
+
+// lowBits returns the word with the low n bits set, for 0 <= n <= 64.
+func lowBits(n int) uint64 {
+	return 1<<n - 1 // 1<<64 is 0, so n = 64 sets every bit
 }

@@ -52,10 +52,11 @@ type Geometry struct {
 }
 
 // NewGeometry returns the geometry of an x*y*z machine.
-// It panics if any dimension is not positive: geometry is fixed program
-// configuration, not runtime input.
+// It panics if any dimension is outside [1, MaxDim]: geometry is fixed
+// program configuration, not runtime input (Parse refuses the same
+// dimensions with an error).
 func NewGeometry(x, y, z int, wrap bool) Geometry {
-	if x < 1 || y < 1 || z < 1 {
+	if x < 1 || y < 1 || z < 1 || x > MaxDim || y > MaxDim || z > MaxDim {
 		panic(fmt.Sprintf("torus: invalid geometry %dx%dx%d", x, y, z))
 	}
 	return Geometry{Dims: Shape{x, y, z}, Wrap: wrap}
@@ -64,9 +65,10 @@ func NewGeometry(x, y, z int, wrap bool) Geometry {
 // BlueGeneL returns the 4x4x8 supernode torus used throughout the paper.
 func BlueGeneL() Geometry { return NewGeometry(4, 4, 8, true) }
 
-// MaxDim is the largest extent Parse accepts on any axis. The largest
+// MaxDim is the largest extent of a machine on any axis. The largest
 // machine in use is the 32x32x64 compute-node torus; the bound keeps
-// the node count far from overflow and per-grid memory bounded.
+// the node count far from overflow, per-grid memory bounded, and every
+// z-column inside one 64-bit word (Grid.ColumnBits).
 const MaxDim = 64
 
 // Parse builds a geometry from a spec like "4x4x8" (torus) or
