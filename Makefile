@@ -18,14 +18,16 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Short fuzzing smoke over the trace parsers and the partition-finder
-# differential oracle; CI-friendly budget.
+# Short fuzzing smoke over the trace parsers, the partition-finder
+# differential oracle and the scheduler-memo exactness oracle;
+# CI-friendly budget.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzReadSWF -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run NONE -fuzz FuzzReadCSV -fuzztime $(FUZZTIME) ./internal/failure
 	$(GO) test -run NONE -fuzz FuzzFinderEquivalence -fuzztime $(FUZZTIME) ./internal/partition/oracle
 	$(GO) test -run NONE -fuzz FuzzSnapshotRoundTrip -fuzztime $(FUZZTIME) ./internal/snapshot
+	$(GO) test -run NONE -fuzz FuzzScheduleMatchesFreshScheduler -fuzztime $(FUZZTIME) ./internal/core
 
 # The scheduling-simulation service on :8080 (override: make serve
 # SERVE_FLAGS="-addr :9090 -state runs.jsonl").

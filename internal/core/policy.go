@@ -46,6 +46,13 @@ type PlacementContext struct {
 // experimental policies). A non-nil error means the policy could not
 // evaluate the candidates — typically an internal grid inconsistency —
 // and aborts the scheduling decision; it must leave the grid unchanged.
+//
+// Choose must be a deterministic function of the grid's occupancy,
+// ctx.Job, ctx.Now and the candidates: the scheduler chooses an EASY
+// reservation's partition once and reuses the answer for as long as
+// those inputs hold, and chooses it only when a backfill reads it, so
+// a policy that could answer the same question two ways would make
+// decisions depend on what earlier calls asked.
 type Policy interface {
 	Name() string
 	Choose(ctx *PlacementContext, cands []torus.Partition) (int, error)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"bgsched/internal/job"
@@ -65,7 +66,8 @@ type schedMetrics struct {
 	startsBackfill    *telemetry.Counter   // sched.starts.backfill
 	backfillAttempts  *telemetry.Counter   // sched.backfill.attempts
 	backfillSuccesses *telemetry.Counter   // sched.backfill.successes
-	reservations      *telemetry.Counter   // sched.reservations.computed
+	reservations      *telemetry.Counter   // sched.reservations.computed: drained afresh
+	reservationsReuse *telemetry.Counter   // sched.reservations.reused: answered by the reservation memo
 	reservationDrain  *telemetry.Histogram // sched.reservations.drain_depth: releases simulated until the head fits
 }
 
@@ -77,6 +79,7 @@ func newSchedMetrics(reg *telemetry.Registry) schedMetrics {
 		backfillAttempts:  reg.Counter("sched.backfill.attempts"),
 		backfillSuccesses: reg.Counter("sched.backfill.successes"),
 		reservations:      reg.Counter("sched.reservations.computed"),
+		reservationsReuse: reg.Counter("sched.reservations.reused"),
 		reservationDrain:  reg.Histogram("sched.reservations.drain_depth"),
 	}
 }
@@ -105,47 +108,66 @@ type Decision struct {
 //
 // The scheduler owns every buffer its decision loop needs — candidate
 // lists, the placement context, the EASY reservation's running-set and
-// scratch grid, the returned decision slice, the no-fit memo — plus an
-// MFP memo keyed on the exact occupancy, so a steady-state Schedule
-// call performs no heap allocations. The reuse is invisible in
-// behaviour: decisions are byte-identical to the allocate-per-call
-// implementation. A Scheduler is consequently not safe for concurrent
-// use (it never was; the simulator's event loop is single-threaded).
+// scratch grid, the returned decision slice — plus three memos that
+// hold exact facts: the MFP memo keyed on the exact occupancy, the
+// no-fit memo and the last reservation. A steady-state Schedule call
+// performs no heap allocations. Neither the reuse nor the memos show in
+// behaviour: every call decides exactly what a fresh scheduler would.
+// A Scheduler is consequently not safe for concurrent use (it never
+// was; the simulator's event loop is single-threaded).
 type Scheduler struct {
 	cfg Config
 	met schedMetrics
 
-	mfp      *partition.MFPCache
-	ctx      PlacementContext   // reused placement context
-	cands    []torus.Partition  // candidate buffer for tryStart/tryBackfill
-	resCands []torus.Partition  // candidate buffer for reservation probes
-	started  []Decision         // returned by Schedule; valid until the next call
-	resRun   []Running          // running ∪ fresh starts, for the reservation
-	scratch  *torus.Grid        // reservation scratch, refilled by CopyFrom
-	sorter   runningByExpFinish // reusable sort.Interface for the drain order
-	noFit    []uint8            // per-size no-fit memo of one Schedule call, indexed by size
+	mfp       *partition.MFPCache
+	ctx       PlacementContext   // reused placement context
+	cands     []torus.Partition  // candidate buffer for tryStart/tryBackfill
+	resCands  []torus.Partition  // the reservation's candidates, kept until its partition is chosen
+	started   []Decision         // returned by Schedule; valid until the next call
+	resRun    []Running          // running ∪ fresh starts, for the reservation
+	scratch   *torus.Grid        // reservation scratch, left drained to where the head fits
+	sorter    runningByExpFinish // reusable sort.Interface for the drain order
+	res       reservationMemo    // the last reservation and its inputs
+	noFit     []uint8            // per-size no-fit memo, indexed by size
+	noFitGeom torus.Geometry     // geometry of the grid the no-fit memo describes
+	left      []uint64           // occupancy the previous Schedule call left
 }
 
 // No-fit memo bits. Within one Schedule call the live grid only gains
 // occupancy (policy probes restore it; the reservation drains a
 // separate scratch grid), so the set of free partitions of any size
-// only shrinks. A size that had no free partition has none for the
-// rest of the call, and a size whose every free partition overlapped
-// the head's reservation stays that way, so later jobs of that size
-// skip the finder with the answer it would give. The memo is indexed
-// by size, not by an occupancy hash, so it cannot collide.
+// only shrinks. A size that had no free partition has none at any
+// later state with more occupancy, and a size whose every free
+// partition overlapped the head's reservation stays that way, so later
+// jobs of that size skip the finder with the answer it would give. The
+// memo therefore survives from one call to the next while the grid
+// starts the call in the state the previous call left, and is cleared
+// otherwise; allReserved bits are also cleared whenever the
+// reservation is recomputed. The memo is indexed by size and checked
+// against the exact occupancy bitset, so it cannot collide.
 const (
 	noFreePart  uint8 = 1 << iota // no free partition of this size
 	allReserved                   // every free partition of this size overlaps the reservation
 )
 
-// knownNoFit reports whether this Schedule call already learned one of
-// the facts in mask about partitions of size.
+// syncNoFit keeps the no-fit memo when gr is in the state the previous
+// Schedule call left, and clears it otherwise.
+func (s *Scheduler) syncNoFit(gr *torus.Grid) {
+	if g := gr.Geometry(); g != s.noFitGeom {
+		s.noFit = make([]uint8, g.N()+1)
+		s.noFitGeom = g
+	} else if !slices.Equal(s.left, gr.Occupancy()) {
+		clear(s.noFit)
+	}
+}
+
+// knownNoFit reports whether the memo holds one of the facts in mask
+// about partitions of size.
 func (s *Scheduler) knownNoFit(size int, mask uint8) bool {
 	return size > 0 && size < len(s.noFit) && s.noFit[size]&mask != 0
 }
 
-// rememberNoFit records fact for size for the rest of the call.
+// rememberNoFit records fact for size.
 func (s *Scheduler) rememberNoFit(size int, fact uint8) {
 	if size > 0 && size < len(s.noFit) {
 		s.noFit[size] |= fact
@@ -222,18 +244,27 @@ func (s *Scheduler) Schedule(gr *torus.Grid, q *job.Queue, running []Running, no
 	sw := s.met.decision.Start()
 	defer sw.Stop()
 	s.started = s.started[:0]
-	if n := gr.Geometry().N() + 1; len(s.noFit) != n {
-		s.noFit = make([]uint8, n)
-	} else {
-		clear(s.noFit)
+	s.syncNoFit(gr)
+	err := s.schedule(gr, q, running, now)
+	// The live grid only gained occupancy, so every no-fit fact holds
+	// at the state the call leaves. After an error, trust no memo.
+	s.left = append(s.left[:0], gr.Occupancy()...)
+	if err != nil {
+		s.left = s.left[:0]
+		s.res.valid = false
 	}
+	return s.started, err
+}
 
+// schedule is one Schedule call's decision loop, appending to
+// s.started.
+func (s *Scheduler) schedule(gr *torus.Grid, q *job.Queue, running []Running, now float64) error {
 	// Phase 1: strict FCFS from the head.
 	for q.Len() > 0 {
 		head := q.Peek()
 		d, ok, err := s.tryStart(gr, head, now)
 		if err != nil {
-			return s.started, err
+			return err
 		}
 		if !ok {
 			break
@@ -243,7 +274,7 @@ func (s *Scheduler) Schedule(gr *torus.Grid, q *job.Queue, running []Running, no
 		s.met.startsFCFS.Inc()
 	}
 	if q.Len() == 0 || s.cfg.Backfill == BackfillNone {
-		return s.started, nil
+		return nil
 	}
 
 	// Phase 2: backfill around the blocked head.
@@ -256,7 +287,7 @@ func (s *Scheduler) Schedule(gr *torus.Grid, q *job.Queue, running []Running, no
 			s.met.backfillAttempts.Inc()
 			d, ok, err := s.tryStart(gr, j, now)
 			if err != nil {
-				return s.started, err
+				return err
 			}
 			if !ok {
 				i++
@@ -275,16 +306,15 @@ func (s *Scheduler) Schedule(gr *torus.Grid, q *job.Queue, running []Running, no
 		for _, d := range s.started {
 			s.resRun = append(s.resRun, Running{Job: d.Job, Part: d.Part, Start: now, ExpFinish: now + d.Job.Estimate})
 		}
-		res, err := s.reservation(gr, q.Peek(), s.resRun, now)
-		if err != nil {
-			return s.started, err
+		if err := s.reserve(gr, q.Peek(), s.resRun, now); err != nil {
+			return err
 		}
 		for i := 1; i < q.Len(); {
 			j := q.At(i)
 			s.met.backfillAttempts.Inc()
-			d, ok, err := s.tryBackfill(gr, j, now, res)
+			d, ok, err := s.tryBackfill(gr, j, now)
 			if err != nil {
-				return s.started, err
+				return err
 			}
 			if !ok {
 				i++
@@ -296,7 +326,7 @@ func (s *Scheduler) Schedule(gr *torus.Grid, q *job.Queue, running []Running, no
 			s.met.startsBackfill.Inc()
 		}
 	}
-	return s.started, nil
+	return nil
 }
 
 // preferPlacement gives a placement-searching finder (partition.Placer,
@@ -346,77 +376,129 @@ func (s *Scheduler) tryStart(gr *torus.Grid, j *job.Job, now float64) (Decision,
 	return Decision{Job: j, Part: p}, true, nil
 }
 
-// reservationState describes the EASY guarantee for the queue head: it
-// will start no later than Time on partition Part.
-type reservationState struct {
-	Time float64
-	Part torus.Partition
+// reservationMemo is the EASY guarantee for the queue head — it will
+// start no later than time, on partition part — together with exactly
+// the inputs it was computed from, so a later call with the same inputs
+// reuses it.
+//
+// The time comes from the drain loop alone, which needs only the
+// finder. The partition is the policy's choice among the drain step's
+// candidates (Scheduler.resCands) on the scratch grid, which stays
+// drained to that step; it is chosen only when a backfill job that must
+// keep off it has free candidates (reservedPart), since every other job
+// ignores it.
+type reservationMemo struct {
+	valid bool
+	// The inputs: the geometry and live occupancy, the head (jobs are
+	// never edited while queued), the running list as passed (before
+	// the drain sort reorders it) and now.
+	geom    torus.Geometry
+	occ     []uint64
+	head    *job.Job
+	running []Running
+	now     float64
+
+	time float64
 	// ok distinguishes a real reservation from the degenerate case
-	// where none could be computed (then only finish-before-Time
-	// backfills with Time = +Inf are allowed, i.e. everything).
-	ok bool
+	// where none could be computed (then only finish-before-time
+	// backfills with time = +Inf are allowed, i.e. everything).
+	ok     bool
+	part   torus.Partition
+	chosen bool // part holds the policy's choice
 }
 
-// reservation simulates the estimated completions of running jobs on a
-// scratch grid to find the earliest time the head job fits, and the
-// partition it would then occupy. The scratch grid is reused across
-// calls (CopyFrom instead of Clone), so a reservation allocates no
-// grid; running may be sorted in place (callers pass the scheduler's
-// own buffer).
-func (s *Scheduler) reservation(gr *torus.Grid, head *job.Job, running []Running, now float64) (reservationState, error) {
+// reusable reports whether the memo answers for these inputs. The
+// drain order and every step that failed depend on the state alone; the
+// time now enters only through the check time max(ExpFinish, now) of
+// the step that fit. That time cannot have moved if now is unchanged,
+// or if it was later than the memo's now (so it was that step's
+// ExpFinish) and is not earlier than the current now. The degenerate
+// reservation's time, +Inf, passes the second test at every finite now.
+func (m *reservationMemo) reusable(gr *torus.Grid, head *job.Job, running []Running, now float64) bool {
+	return m.valid && m.head == head &&
+		(now == m.now || m.time > m.now && m.time >= now) &&
+		gr.Geometry() == m.geom && slices.Equal(m.occ, gr.Occupancy()) &&
+		slices.Equal(m.running, running)
+}
+
+// reserve brings s.res up to date for the blocked head. Unless the
+// memo answers, it simulates the estimated completions of running jobs
+// on a scratch grid to find the earliest time the head job fits, and
+// keeps that step's candidates for reservedPart. The scratch grid is
+// reused across calls (CopyFrom instead of Clone), so a reservation
+// allocates no grid; running may be sorted in place (callers pass the
+// scheduler's own buffer).
+func (s *Scheduler) reserve(gr *torus.Grid, head *job.Job, running []Running, now float64) error {
+	m := &s.res
+	if m.reusable(gr, head, running, now) {
+		s.met.reservationsReuse.Inc()
+		return nil
+	}
 	s.met.reservations.Inc()
+	m.valid, m.chosen = false, false
+	m.geom, m.head, m.now = gr.Geometry(), head, now
+	m.occ = append(m.occ[:0], gr.Occupancy()...)
+	m.running = append(m.running[:0], running...)
+	for i := range s.noFit {
+		s.noFit[i] &^= allReserved
+	}
 	if s.scratch == nil || s.scratch.Geometry() != gr.Geometry() {
 		s.scratch = gr.Clone()
 	} else if err := s.scratch.CopyFrom(gr); err != nil {
-		return reservationState{}, fmt.Errorf("core: reservation: %w", err)
+		return fmt.Errorf("core: reservation: %w", err)
 	}
-	scratch := s.scratch
 	s.sorter.rs = running
 	sort.Sort(&s.sorter)
 	s.sorter.rs = nil
 
-	check := func(t float64) (reservationState, bool, error) {
-		cands := s.freeOfSize(scratch, head.AllocSize, &s.resCands)
-		if len(cands) == 0 {
-			return reservationState{}, false, nil
-		}
-		s.preferPlacement(scratch, cands)
-		ctx := s.placementCtx(scratch, head, t)
-		idx, err := s.cfg.Policy.Choose(ctx, cands)
-		if err != nil {
-			return reservationState{}, false, fmt.Errorf("core: reservation policy %s: %w", s.cfg.Policy.Name(), err)
-		}
-		if idx < 0 || idx >= len(cands) {
-			idx = 0
-		}
-		return reservationState{Time: t, Part: cands[idx], ok: true}, true, nil
-	}
-
 	for i, r := range running {
-		if err := scratch.Release(r.Part, int64(r.Job.ID)); err != nil {
-			return reservationState{}, fmt.Errorf("core: reservation: %w", err)
+		if err := s.scratch.Release(r.Part, int64(r.Job.ID)); err != nil {
+			return fmt.Errorf("core: reservation: %w", err)
 		}
-		res, ok, err := check(math.Max(r.ExpFinish, now))
-		if err != nil {
-			return reservationState{}, err
-		}
-		if ok {
+		// A plain finder returns a fresh slice and leaves the buffer
+		// alone, so keep what it returns.
+		if s.resCands = s.freeOfSize(s.scratch, head.AllocSize, &s.resCands); len(s.resCands) > 0 {
 			s.met.reservationDrain.Observe(float64(i + 1))
-			return res, nil
+			m.time, m.ok, m.valid = math.Max(r.ExpFinish, now), true, true
+			return nil
 		}
 	}
 	// Head cannot fit even on the drained machine (possible only if its
 	// allocation exceeds machine capacity, which upstream validation
 	// prevents). Degenerate reservation: no constraint.
-	return reservationState{Time: math.Inf(1), ok: false}, nil
+	m.time, m.ok, m.valid = math.Inf(1), false, true
+	return nil
+}
+
+// reservedPart returns the reserved partition, choosing it on first
+// use: the policy's pick among the kept candidates, after
+// preferPlacement, on the drained scratch grid at the reservation time.
+// Choose is deterministic (see Policy), so neither choosing late nor
+// reusing the choice changes it.
+func (s *Scheduler) reservedPart() (torus.Partition, error) {
+	m := &s.res
+	if !m.chosen {
+		cands := s.resCands
+		s.preferPlacement(s.scratch, cands)
+		ctx := s.placementCtx(s.scratch, m.head, m.time)
+		idx, err := s.cfg.Policy.Choose(ctx, cands)
+		if err != nil {
+			return torus.Partition{}, fmt.Errorf("core: reservation policy %s: %w", s.cfg.Policy.Name(), err)
+		}
+		if idx < 0 || idx >= len(cands) {
+			idx = 0
+		}
+		m.part, m.chosen = cands[idx], true
+	}
+	return m.part, nil
 }
 
 // tryBackfill starts j now if doing so cannot delay the reserved head
 // start: either j is estimated to finish before the reservation time,
 // or its partition does not intersect the reserved partition.
-func (s *Scheduler) tryBackfill(gr *torus.Grid, j *job.Job, now float64, res reservationState) (Decision, bool, error) {
-	finishesInTime := now+j.Estimate <= res.Time
-	mustAvoid := !finishesInTime && res.ok // j must keep off the reserved partition
+func (s *Scheduler) tryBackfill(gr *torus.Grid, j *job.Job, now float64) (Decision, bool, error) {
+	finishesInTime := now+j.Estimate <= s.res.time
+	mustAvoid := !finishesInTime && s.res.ok // j must keep off the reserved partition
 	if s.knownNoFit(j.AllocSize, noFreePart) || mustAvoid && s.knownNoFit(j.AllocSize, allReserved) {
 		return Decision{}, false, nil
 	}
@@ -426,13 +508,17 @@ func (s *Scheduler) tryBackfill(gr *torus.Grid, j *job.Job, now float64, res res
 		return Decision{}, false, nil
 	}
 	if mustAvoid {
+		reserved, err := s.reservedPart()
+		if err != nil {
+			return Decision{}, false, err
+		}
 		// Filter in place: the candidate buffer is ours (buffered
 		// finder) or a fresh slice (plain finder), and the kept order is
 		// the original order either way.
 		g := gr.Geometry()
 		filtered := cands[:0]
 		for _, p := range cands {
-			if !g.Overlaps(p, res.Part) {
+			if !g.Overlaps(p, reserved) {
 				filtered = append(filtered, p)
 			}
 		}

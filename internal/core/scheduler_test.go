@@ -7,6 +7,7 @@ import (
 	"bgsched/internal/job"
 	"bgsched/internal/partition"
 	"bgsched/internal/predict"
+	"bgsched/internal/telemetry"
 	"bgsched/internal/torus"
 )
 
@@ -387,12 +388,13 @@ func TestMigrateEmptyRunning(t *testing.T) {
 }
 
 // countingFinder is the shape finder counting the queries it answers
-// on one grid (the live one), per size; reservation probes on the
-// scheduler's scratch grid are not counted.
+// on one grid (the live one), per size, and in total on any other grid
+// (the reservation's scratch).
 type countingFinder struct {
 	partition.ShapeFinder
-	live  *torus.Grid
-	calls map[int]int
+	live    *torus.Grid
+	calls   map[int]int
+	scratch int
 }
 
 func (f *countingFinder) FreeOfSize(gr *torus.Grid, size int) []torus.Partition {
@@ -402,8 +404,28 @@ func (f *countingFinder) FreeOfSize(gr *torus.Grid, size int) []torus.Partition 
 func (f *countingFinder) FreeOfSizeInto(gr *torus.Grid, size int, buf []torus.Partition) []torus.Partition {
 	if gr == f.live {
 		f.calls[size]++
+	} else {
+		f.scratch++
 	}
 	return f.ShapeFinder.FreeOfSizeInto(gr, size, buf)
+}
+
+// countingPolicy is the baseline policy counting the Choose calls it
+// answers on the live grid and on any other grid (the reservation's
+// scratch).
+type countingPolicy struct {
+	Baseline
+	live              *torus.Grid
+	onLive, onScratch int
+}
+
+func (p *countingPolicy) Choose(ctx *PlacementContext, cands []torus.Partition) (int, error) {
+	if ctx.Grid == p.live {
+		p.onLive++
+	} else {
+		p.onScratch++
+	}
+	return p.Baseline.Choose(ctx, cands)
 }
 
 // stripedGrid occupies the even z-planes with four running jobs that
@@ -427,14 +449,23 @@ func stripedGrid(t *testing.T) (*torus.Grid, []Running) {
 }
 
 // The no-fit memo: behind a blocked head, N queued jobs of a size with
-// no free partition cost one live-grid finder query for that size per
-// Schedule call, not N, under both backfill modes; and under EASY a
-// size whose every free partition overlaps the reservation is not
+// no free partition cost one live-grid finder query for that size, not
+// N, under both backfill modes, and a second call on the state the
+// first left costs none, until a release changes the state. Under EASY
+// a size whose every free partition overlaps the reservation is not
 // re-queried for later long jobs, while a job of that size that
 // finishes before the reservation is still queried and backfilled.
 func TestScheduleNoFitMemo(t *testing.T) {
 	const n = 6
-	for _, mode := range []BackfillMode{BackfillAggressive, BackfillEASY} {
+	for _, tc := range []struct {
+		mode BackfillMode
+		// Size-32 queries after the release: aggressive starts one job in
+		// the freed slab and learns the next finds nothing; under EASY
+		// the first long job learns every candidate overlaps the
+		// reservation.
+		after32 int
+	}{{BackfillAggressive, 3}, {BackfillEASY, 2}} {
+		mode := tc.mode
 		gr, running := stripedGrid(t)
 		f := &countingFinder{live: gr, calls: map[int]int{}}
 		s, err := NewScheduler(Config{Policy: Baseline{}, Finder: f, Backfill: mode})
@@ -454,10 +485,27 @@ func TestScheduleNoFitMemo(t *testing.T) {
 			if len(ds) != 0 {
 				t.Fatalf("%v: started %v, nothing fits", mode, ds)
 			}
-			if f.calls[32] != call || f.calls[128] != call {
-				t.Fatalf("%v: after %d Schedule calls, %d queries for size 32 and %d for 128, want %d each",
-					mode, call, f.calls[32], f.calls[128], call)
+			if f.calls[32] != 1 || f.calls[128] != 1 {
+				t.Fatalf("%v: after %d Schedule calls, %d queries for size 32 and %d for 128, want 1 each",
+					mode, call, f.calls[32], f.calls[128])
 			}
+		}
+		// Freeing the z=0 plane joins it to the free z=1 plane: the
+		// memo no longer describes the state and every size is asked
+		// again.
+		if err := gr.Release(running[0].Part, int64(running[0].Job.ID)); err != nil {
+			t.Fatal(err)
+		}
+		ds, err := s.Schedule(gr, q, running[1:], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.calls[128] != 2 || f.calls[32] != tc.after32 {
+			t.Fatalf("%v: after a release, %d queries for size 32 and %d for 128, want %d and 2",
+				mode, f.calls[32], f.calls[128], tc.after32)
+		}
+		if want := tc.after32 - 2; len(ds) != want {
+			t.Fatalf("%v: started %v after the release, want %d jobs", mode, ds, want)
 		}
 	}
 
@@ -483,4 +531,99 @@ func TestScheduleNoFitMemo(t *testing.T) {
 	if f.calls[16] != 2 {
 		t.Fatalf("%d live-grid queries for size 16, want 2 (jobs 2 and 4)", f.calls[16])
 	}
+}
+
+// reservationScheduler is an EASY scheduler over gr with a counting
+// finder, a counting policy and a telemetry registry.
+func reservationScheduler(t *testing.T, gr *torus.Grid) (*Scheduler, *countingFinder, *countingPolicy, *telemetry.Registry) {
+	t.Helper()
+	f := &countingFinder{live: gr, calls: map[int]int{}}
+	p := &countingPolicy{live: gr}
+	reg := telemetry.New()
+	s, err := NewScheduler(Config{Policy: p, Finder: f, Backfill: BackfillEASY, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, f, p, reg
+}
+
+// The reservation memo and the partition chosen on demand, counted on
+// the striped grid, whose 128-node head is reserved the whole machine
+// once the fourth running job drains.
+func TestReservationMemo(t *testing.T) {
+	counts := func(reg *telemetry.Registry) (computed, reused int64) {
+		return reg.Counter("sched.reservations.computed").Value(), reg.Counter("sched.reservations.reused").Value()
+	}
+
+	t.Run("unchanged inputs reuse everything", func(t *testing.T) {
+		gr, running := stripedGrid(t)
+		s, f, p, reg := reservationScheduler(t, gr)
+		q := job.NewQueue()
+		q.Push(testJob(1, 128, 1000))
+		q.Push(testJob(2, 16, 1000)) // long: must keep off the reservation, so it reads the partition
+		for call := 1; call <= 2; call++ {
+			if ds, err := s.Schedule(gr, q, running, 0); err != nil || len(ds) != 0 {
+				t.Fatalf("call %d: started %v (err %v), nothing may start", call, ds, err)
+			}
+			if f.scratch != 4 || p.onScratch != 1 {
+				t.Fatalf("call %d: %d scratch-grid finder queries and %d scratch-grid policy calls, want 4 and 1",
+					call, f.scratch, p.onScratch)
+			}
+		}
+		if c, r := counts(reg); c != 1 || r != 1 {
+			t.Fatalf("reservations computed %d, reused %d; want 1 and 1", c, r)
+		}
+	})
+
+	t.Run("check time at now moves with now", func(t *testing.T) {
+		gr, running := stripedGrid(t)
+		s, f, _, reg := reservationScheduler(t, gr)
+		q := job.NewQueue()
+		q.Push(testJob(1, 128, 1000))
+		q.Push(testJob(2, 16, 1000))
+		// Every running job is past its ExpFinish (100..400), so the head
+		// is reserved at now itself, and a later now is a new time.
+		for _, now := range []float64{500, 500, 600} {
+			if _, err := s.Schedule(gr, q, running, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c, r := counts(reg); c != 2 || r != 1 {
+			t.Fatalf("reservations computed %d, reused %d; want 2 and 1", c, r)
+		}
+		if f.scratch != 8 {
+			t.Fatalf("%d scratch-grid finder queries, want 8 (two drains of 4)", f.scratch)
+		}
+		// Reserved at a future ExpFinish (400), the time holds while now
+		// stays at or before it.
+		for _, now := range []float64{0, 50, 400} {
+			if _, err := s.Schedule(gr, q, running, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c, r := counts(reg); c != 3 || r != 3 {
+			t.Fatalf("reservations computed %d, reused %d; want 3 and 3", c, r)
+		}
+	})
+
+	t.Run("partition never read is never chosen", func(t *testing.T) {
+		gr, running := stripedGrid(t)
+		s, f, p, _ := reservationScheduler(t, gr)
+		q := job.NewQueue()
+		q.Push(testJob(1, 128, 1000))
+		q.Push(testJob(2, 32, 1000)) // long, but no free partition of its size
+		q.Push(testJob(3, 16, 50))   // done by t=50, before the reservation
+		q.Push(testJob(4, 16, 100))
+		ds, err := s.Schedule(gr, q, running, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ds) != 2 || ds[0].Job.ID != 3 || ds[1].Job.ID != 4 {
+			t.Fatalf("started %v, want jobs 3 and 4", ds)
+		}
+		if f.scratch != 4 || p.onScratch != 0 || p.onLive != 2 {
+			t.Fatalf("%d scratch-grid finder queries, %d scratch-grid and %d live policy calls; want 4, 0 and 2",
+				f.scratch, p.onScratch, p.onLive)
+		}
+	})
 }

@@ -7,11 +7,7 @@
 // particular prediction algorithm.
 package predict
 
-import (
-	"math/rand"
-
-	"bgsched/internal/failure"
-)
+import "bgsched/internal/failure"
 
 // NodeProber is the balancing-predictor interface: the estimated
 // probability that a node fails in the window (now, until].
@@ -50,28 +46,20 @@ var _ NodeProber = (*Balancing)(nil)
 // (no false positives, as justified in the paper). A partition is
 // predicted to fail if any of its nodes answers "yes".
 //
-// When Consistent is true (the default used by the experiments), the
-// yes/no draw for a given upcoming failure event is a deterministic
+// The yes/no draw for a given upcoming failure event is a deterministic
 // hash of (node, failure time, seed): the predictor either "knows"
 // about a particular failure or it does not, and repeated queries agree
-// with each other. When Consistent is false each query draws fresh
-// randomness from Rng, matching a literal reading of the paper.
+// with each other. Schedulers rely on that: a policy must answer the
+// same question the same way (see core.Policy).
 type TieBreak struct {
-	Index      *failure.Index
-	Accuracy   float64 // the parameter "a" = 1 - P(false negative)
-	Consistent bool
-	IntSeed    int64      // folded into the consistent hash
-	Rng        *rand.Rand // used when !Consistent
+	Index    *failure.Index
+	Accuracy float64 // the parameter "a" = 1 - P(false negative)
+	IntSeed  int64   // folded into the hash
 }
 
-// NewTieBreak returns a consistent tie-breaking predictor.
+// NewTieBreak returns a tie-breaking predictor.
 func NewTieBreak(ix *failure.Index, accuracy float64, seed int64) *TieBreak {
-	return &TieBreak{
-		Index:      ix,
-		Accuracy:   accuracy,
-		Consistent: true,
-		IntSeed:    seed,
-	}
+	return &TieBreak{Index: ix, Accuracy: accuracy, IntSeed: seed}
 }
 
 // hashUnit maps (node, time, seed) to a uniform float64 in [0, 1),
@@ -100,10 +88,7 @@ func (tb *TieBreak) NodeWillFail(node int, now, until float64) bool {
 	if tb.Accuracy <= 0 {
 		return false
 	}
-	if tb.Consistent {
-		return hashUnit(node, ft, tb.IntSeed) < tb.Accuracy
-	}
-	return tb.Rng.Float64() < tb.Accuracy
+	return hashUnit(node, ft, tb.IntSeed) < tb.Accuracy
 }
 
 // PartitionWillFail implements PartitionOracle.

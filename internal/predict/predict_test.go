@@ -91,8 +91,8 @@ func TestTieBreakAccuracyRate(t *testing.T) {
 	}
 }
 
-// TestTieBreakConsistency: the consistent predictor must answer
-// identical queries identically, and its answer for a given failure
+// TestTieBreakConsistency: the predictor must answer identical
+// queries identically, and its answer for a given failure
 // must not depend on query order.
 func TestTieBreakConsistency(t *testing.T) {
 	ix := indexWith(
@@ -104,20 +104,8 @@ func TestTieBreakConsistency(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		tb.NodeWillFail(7, 0, 600) // interleave other queries
 		if got := tb.NodeWillFail(3, 0, 200); got != first {
-			t.Fatal("consistent predictor changed its answer")
+			t.Fatal("predictor changed its answer")
 		}
-	}
-}
-
-func TestTieBreakInconsistentMode(t *testing.T) {
-	ix := indexWith(failure.Event{Time: 100, Node: 3})
-	tb := &TieBreak{Index: ix, Accuracy: 0.5, Consistent: false, Rng: rand.New(rand.NewSource(5))}
-	saw := map[bool]bool{}
-	for i := 0; i < 200; i++ {
-		saw[tb.NodeWillFail(3, 0, 200)] = true
-	}
-	if !saw[true] || !saw[false] {
-		t.Fatal("inconsistent mode at accuracy 0.5 should produce both answers")
 	}
 }
 
