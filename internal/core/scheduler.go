@@ -198,10 +198,12 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown backfill mode %d", int(cfg.Backfill))
 	}
+	mfp := partition.NewMFPCache()
+	mfp.Sweeps = cfg.Telemetry.Counter("sched.mfp.sweeps") // MaxFree and plate sweeps
 	return &Scheduler{
 		cfg: cfg,
 		met: newSchedMetrics(cfg.Telemetry),
-		mfp: partition.NewMFPCache(),
+		mfp: mfp,
 	}, nil
 }
 
@@ -277,28 +279,11 @@ func (s *Scheduler) schedule(gr *torus.Grid, q *job.Queue, running []Running, no
 		return nil
 	}
 
-	// Phase 2: backfill around the blocked head.
-	switch s.cfg.Backfill {
-	case BackfillAggressive:
-		// Scan the rest of the queue in FCFS order; anything that fits
-		// starts now.
-		for i := 1; i < q.Len(); {
-			j := q.At(i)
-			s.met.backfillAttempts.Inc()
-			d, ok, err := s.tryStart(gr, j, now)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				i++
-				continue
-			}
-			q.RemoveAt(i)
-			s.started = append(s.started, d)
-			s.met.backfillSuccesses.Inc()
-			s.met.startsBackfill.Inc()
-		}
-	case BackfillEASY:
+	// Phase 2: backfill around the blocked head, walking the rest of
+	// the queue in FCFS order. Aggressive backfill starts anything that
+	// fits; EASY first reserves the head's start.
+	try := (*Scheduler).tryStart
+	if s.cfg.Backfill == BackfillEASY {
 		// The reservation must see the machine as it will be: running
 		// jobs plus this call's fresh starts, gathered into a reused
 		// buffer.
@@ -309,22 +294,31 @@ func (s *Scheduler) schedule(gr *torus.Grid, q *job.Queue, running []Running, no
 		if err := s.reserve(gr, q.Peek(), s.resRun, now); err != nil {
 			return err
 		}
-		for i := 1; i < q.Len(); {
-			j := q.At(i)
-			s.met.backfillAttempts.Inc()
-			d, ok, err := s.tryBackfill(gr, j, now)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				i++
-				continue
-			}
-			q.RemoveAt(i)
-			s.started = append(s.started, d)
-			s.met.backfillSuccesses.Inc()
-			s.met.startsBackfill.Inc()
+		try = (*Scheduler).tryBackfill
+	}
+	// A job larger than the free node count has no free partition, so
+	// it is passed over without a try.
+	visits := 0
+	defer func() { s.met.backfillAttempts.Add(int64(visits)) }()
+	for i := 1; i < q.Len(); {
+		j := q.At(i)
+		visits++
+		if j.AllocSize > gr.FreeCount() {
+			i++
+			continue
 		}
+		d, ok, err := try(s, gr, j, now)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			i++
+			continue
+		}
+		q.RemoveAt(i)
+		s.started = append(s.started, d)
+		s.met.backfillSuccesses.Inc()
+		s.met.startsBackfill.Inc()
 	}
 	return nil
 }

@@ -94,6 +94,10 @@ func (f *FastFinder) FreeOfSizeInto(gr *torus.Grid, size int, buf []torus.Partit
 // back to enumeration. The returned slice is cache-owned; callers copy.
 func (f *FastFinder) freeOfSizeLocked(gr *torus.Grid, size int) []torus.Partition {
 	sw := f.Metrics.startTimer()
+	if gr.FreeCount() < size { // fewer free nodes than requested: no candidate exists
+		f.Metrics.observe(sw, 0, 0, 0)
+		return nil
+	}
 	g := gr.Geometry()
 	sc := &f.scratch
 	sc.shapes = g.AppendShapesOf(sc.shapes[:0], size)
@@ -117,11 +121,8 @@ func (f *FastFinder) freeOfSizeLocked(gr *torus.Grid, size int) []torus.Partitio
 	slot.key = key
 	slot.occ = append(slot.occ[:0], gr.Occupancy()...)
 	slot.used = true
-	slot.parts = slot.parts[:0]
-	bases, rejects := 0, 0
-	if gr.FreeCount() >= size { // fewer free nodes than requested: no candidate exists
-		slot.parts, bases, rejects = sc.appendFree(gr, slot.parts)
-	}
+	var bases, rejects int
+	slot.parts, bases, rejects = sc.appendFree(gr, slot.parts[:0])
 	f.Metrics.observe(sw, len(slot.parts), bases, rejects)
 	return slot.parts
 }

@@ -2,7 +2,9 @@
 // scheduler relies on: the naive exhaustive search, a Projection-of-
 // Partitions (POP) style dynamic-programming finder in the spirit of
 // Krevat et al., and the paper's shape-enumeration finder (Appendix 9),
-// which reads a base's free z-windows from one-word column bitsets.
+// which reads a base's free z-windows from one-word column bitsets; and
+// the maximal free partition (MFP), read from the occupancy bit-sliced
+// into one-word rows.
 //
 // All finders return exactly the same set of partitions; they differ
 // only in asymptotic cost. The set is the paper's FREEPARTS: every
@@ -16,6 +18,8 @@ package partition
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 
@@ -186,67 +190,44 @@ func computeRunsInto(val func(int) bool, n int, wrap bool, runs []int) {
 	}
 }
 
-// computeRunsBool is computeRunsInto specialised to a bool slice: the
-// MFP sweeps call it in their innermost loops, where the generic
-// version's indirect predicate call per element is measurable.
-func computeRunsBool(vals []bool, wrap bool, runs []int) {
-	n := len(vals)
-	allTrue := true
-	for i := n - 1; i >= 0; i-- {
-		if !vals[i] {
-			runs[i] = 0
-			allTrue = false
-		} else if i == n-1 {
-			runs[i] = 1
-		} else {
-			runs[i] = runs[i+1] + 1
-		}
-	}
-	if allTrue {
-		for i := 0; i < n; i++ {
-			runs[i] = n
-		}
-		return
-	}
-	if wrap && n > 1 && vals[n-1] && vals[0] {
-		head := runs[0]
-		for i := n - 1; i >= 0 && vals[i]; i-- {
-			runs[i] += head
-			if runs[i] > n {
-				runs[i] = n
-			}
-		}
-	}
-}
-
-// mfpScratch holds reusable buffers for MaxFree; pooled to keep the
-// hot placement-evaluation path allocation-free.
+// mfpScratch holds the buffers of an MFP sweep: the occupancy
+// bit-sliced by z into row words, and the windows of one base plane.
+// The MFPCache owns one and slices it once per occupancy state;
+// MaxFree fills a pooled one per call, so repeated evaluations do not
+// allocate.
 type mfpScratch struct {
-	cols  []uint64 // dimX*dimY column words: busy or blocked by the plate
-	colOK []bool   // dimX*dimY projected plane
-	yRun  []int    // dimX*dimY y-run lengths on the plane
-	rowOK []bool   // dimX row flags
-	xRun  []int    // dimX x-run lengths
+	rows   []uint64 // Z*X words: bit y of rows[z*X+x] set iff node (x, y, z) is busy
+	wins   []uint64 // Z*X words: free rows of the windows (bz, 1..Z) of one bz
+	usable []int    // Z counts: free (x, y) columns of each of those windows
+	mask   []uint64 // X words: the plate's free rows, where every window starts
+	bases  []uint64 // X words: each window row's free y-bases at one height
+	acc    []uint64 // X words: the y-bases shared by w consecutive rows
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(mfpScratch) }}
 
-func (s *mfpScratch) ensure(g torus.Geometry) {
-	plane := g.Dims.X * g.Dims.Y
-	if cap(s.colOK) < plane {
-		s.cols = make([]uint64, plane)
-		s.colOK = make([]bool, plane)
-		s.yRun = make([]int, plane)
+// slice bit-slices gr's occupancy into s.rows and sizes the other
+// buffers for its geometry. MaxDim = 64 keeps a row of Y nodes inside
+// one word on every geometry.
+func (s *mfpScratch) slice(gr *torus.Grid) {
+	d := gr.Geometry().Dims
+	n := d.Z * d.X
+	s.rows = slices.Grow(s.rows[:0], n)[:n]
+	s.wins = slices.Grow(s.wins[:0], n)[:n]
+	s.usable = slices.Grow(s.usable[:0], d.Z)[:d.Z]
+	s.mask = slices.Grow(s.mask[:0], d.X)[:d.X]
+	s.bases = slices.Grow(s.bases[:0], d.X)[:d.X]
+	s.acc = slices.Grow(s.acc[:0], d.X)[:d.X]
+	clear(s.rows)
+	col := 0
+	for x := 0; x < d.X; x++ {
+		for y := 0; y < d.Y; y++ {
+			for b := gr.ColumnBits(col); b != 0; b &= b - 1 {
+				s.rows[bits.TrailingZeros64(b)*d.X+x] |= 1 << y
+			}
+			col++
+		}
 	}
-	s.cols = s.cols[:plane]
-	s.colOK = s.colOK[:plane]
-	s.yRun = s.yRun[:plane]
-	if cap(s.rowOK) < g.Dims.X {
-		s.rowOK = make([]bool, g.Dims.X)
-		s.xRun = make([]int, g.Dims.X)
-	}
-	s.rowOK = s.rowOK[:g.Dims.X]
-	s.xRun = s.xRun[:g.Dims.X]
 }
 
 // plate is the slab of whole planes an MFP probe blocks on one axis
@@ -267,85 +248,94 @@ func (pl plate) covers(axis, k, dim int) bool {
 	return k < pl.start+pl.length
 }
 
-// fillCols sets one word per z-column: the column's busy bits with pl
-// OR-ed in, a z-plate as its window and an x- or y-plate as the whole
-// column.
-func (s *mfpScratch) fillCols(gr *torus.Grid, pl plate) {
-	dims := gr.Geometry().Dims
-	var zPlate uint64
-	if pl.axis == 2 {
-		zPlate = windowMask(dims.Z, pl.start, pl.length)
-	}
-	col := 0
-	for x := 0; x < dims.X; x++ {
-		for y := 0; y < dims.Y; y++ {
-			if pl.covers(0, x, dims.X) || pl.covers(1, y, dims.Y) {
-				s.cols[col] = lowBits(dims.Z)
-			} else {
-				s.cols[col] = gr.ColumnBits(col) | zPlate
-			}
-			col++
-		}
-	}
-}
-
 // MaxFree returns the maximal free partition (MFP) of the grid: the
 // free, contiguous, rectangular partition with the greatest node count,
 // and that count. If the machine is completely full it returns size 0.
 //
 // The MFP is the quantity Krevat's heuristic (and this paper's L_MFP
-// factor) is built on. The implementation projects each z-window onto a
-// 2D plane and finds the plane's maximum all-true rectangle, reusing
-// pooled scratch buffers so repeated hypothetical-placement evaluations
-// do not allocate.
+// factor) is built on. The implementation bit-slices the grid into row
+// words, projects each z-window onto the x-y plane with one AND-NOT per
+// row and reads the plane's largest free rectangle from the projected
+// rows, reusing pooled scratch buffers so repeated hypothetical-
+// placement evaluations do not allocate.
 func MaxFree(gr *torus.Grid) (torus.Partition, int) {
 	sc := scratchPool.Get().(*mfpScratch)
 	defer scratchPool.Put(sc)
-	return maxFreeWith(sc, gr, plate{})
+	sc.slice(gr)
+	return sc.sweep(gr.Geometry(), plate{})
 }
 
-// maxFreeWith is MaxFree of gr with pl blocked, on an explicit scratch
-// for callers (the MFPCache) that own their buffers and must never
-// touch the shared pool on the hot path.
-func maxFreeWith(sc *mfpScratch, gr *torus.Grid, pl plate) (torus.Partition, int) {
-	g := gr.Geometry()
-	dims := g.Dims
-	sc.ensure(g)
-	sc.fillCols(gr, pl)
+// sweep returns the MFP of the state sliced into s.rows with pl
+// blocked, and its size. A plate becomes row masks: an x-plate zeroes
+// its rows, a y-plate clears its window from every row, and a z-plate
+// ends a window where the window reaches it.
+func (s *mfpScratch) sweep(g torus.Geometry, pl plate) (torus.Partition, int) {
+	d := g.Dims
+	free := lowBits(d.Y)
+	if pl.axis == 1 {
+		free &^= windowMask(d.Y, pl.start, pl.length)
+	}
+	for x := range s.mask {
+		s.mask[x] = free
+		if pl.covers(0, x, d.X) {
+			s.mask[x] = 0
+		}
+	}
 
 	best := 0
 	var bestPart torus.Partition
-	plane := dims.X * dims.Y
-
-	for bz := 0; bz < dims.Z; bz++ {
+	plane := d.X * d.Y
+	for bz := 0; bz < d.Z; bz++ {
+		// The longest window at bz: up to the mesh's top edge, and on a
+		// torus the whole ring only from its canonical base 0.
+		maxSz := d.Z - bz
+		if g.Wrap {
+			maxSz = d.Z
+			if bz != 0 {
+				maxSz = d.Z - 1
+			}
+		}
+		if plane*maxSz <= best {
+			continue
+		}
+		// Window (bz, sz) is window (bz, sz-1) AND-NOT plane bz+sz-1,
+		// cyclic on a torus, so it has no more usable columns than the
+		// shorter one. The build ends at a window whose usable columns
+		// could not beat best even at the longest length: no longer
+		// window can.
+		n := 0
+		for prev := s.mask; n < maxSz; n++ {
+			k := bz + n
+			if k >= d.Z {
+				k -= d.Z
+			}
+			if pl.covers(2, k, d.Z) {
+				break
+			}
+			cur, busy := s.wins[n*d.X:(n+1)*d.X], s.rows[k*d.X:(k+1)*d.X]
+			usable := 0
+			for x, r := range prev {
+				cur[x] = r &^ busy[x]
+				usable += bits.OnesCount64(cur[x])
+			}
+			if usable*maxSz <= best {
+				break
+			}
+			s.usable[n] = usable
+			prev = cur
+		}
 		// Descending sz gives the strongest pruning: once a window
 		// cannot beat the best volume even with a full plane, no
 		// smaller sz at this bz can either.
-		for sz := dims.Z; sz >= 1; sz-- {
+		for sz := n; sz >= 1; sz-- {
 			if plane*sz <= best {
 				break
 			}
-			if g.Wrap && sz == dims.Z && bz != 0 {
+			if s.usable[sz-1]*sz <= best {
 				continue
 			}
-			if !g.Wrap && bz+sz > dims.Z {
-				continue
-			}
-			// Project: column (x,y) is usable if no bit of its word
-			// lies in the window.
-			win := windowMask(dims.Z, bz, sz)
-			usable := 0
-			for col, w := range sc.cols {
-				ok := w&win == 0
-				sc.colOK[col] = ok
-				if ok {
-					usable++
-				}
-			}
-			if usable*sz <= best {
-				continue
-			}
-			area, bx, by, sx, sy := sc.maxRect2D(dims.X, dims.Y, g.Wrap)
+			win := s.wins[(sz-1)*d.X : sz*d.X]
+			area, bx, by, sx, sy := s.maxRect(win, d.Y, g.Wrap, best/sz)
 			if area*sz > best {
 				best = area * sz
 				bestPart = torus.Partition{
@@ -358,45 +348,57 @@ func maxFreeWith(sc *mfpScratch, gr *torus.Grid, pl plate) (torus.Partition, int
 	return bestPart, best
 }
 
-// MaxFreeSize returns just the size of the maximal free partition.
-func MaxFreeSize(gr *torus.Grid) int {
-	_, s := MaxFree(gr)
-	return s
-}
-
-// maxRect2D finds the maximum-area all-true rectangle in the scratch's
-// colOK plane (dx*dy, wrap-aware in both dimensions). Rectangles
-// spanning a full dimension are canonicalised to base 0.
-func (s *mfpScratch) maxRect2D(dx, dy int, wrap bool) (area, bx, by, sx, sy int) {
-	for x := 0; x < dx; x++ {
-		row := x * dy
-		computeRunsBool(s.colOK[row:row+dy], wrap, s.yRun[row:row+dy])
-	}
-	for by0 := 0; by0 < dy; by0++ {
-		for sy0 := dy; sy0 >= 1; sy0-- {
-			if dx*sy0 <= area {
+// maxRect finds the largest free rectangle of the projected plane win
+// (one dy-bit free-row word per x, wrap-aware in both dimensions) whose
+// area exceeds floor; it returns area = floor if there is none. For
+// each height h, windowBases of each row gives the free y-bases of
+// that height, and AND-ing w consecutive rows gives the bases of a
+// w×h rectangle. Rectangles spanning a full dimension come out at
+// base 0.
+func (s *mfpScratch) maxRect(win []uint64, dy int, wrap bool, floor int) (area, bx, by, sx, sy int) {
+	dx := len(win)
+	area = floor
+	for h := dy; h >= 1 && dx*h > area; h-- {
+		keep := lowBits(baseRange(dy, h, wrap))
+		var any uint64
+		for x, r := range win {
+			b := windowBases(^r, dy, h, wrap) & keep
+			s.bases[x], s.acc[x] = b, b
+			any |= b
+		}
+		// s.acc[x] holds the bases of the w×h rectangles at x; stop at
+		// the first w with none.
+		for w := 1; any != 0; w++ {
+			n := baseRange(dx, w, wrap)
+			if w > 1 {
+				any = 0
+				for x := 0; x < n; x++ {
+					next := x + w - 1
+					if next >= dx {
+						next -= dx
+					}
+					s.acc[x] &= s.bases[next]
+					any |= s.acc[x]
+				}
+			}
+			if any != 0 && w*h > area {
+				for x := 0; x < n; x++ {
+					if s.acc[x] != 0 {
+						area, bx, by, sx, sy = w*h, x, bits.TrailingZeros64(s.acc[x]), w, h
+						break
+					}
+				}
+			}
+			if w == dx {
 				break
-			}
-			if wrap && sy0 == dy && by0 != 0 {
-				continue
-			}
-			if !wrap && by0+sy0 > dy {
-				continue
-			}
-			for x := 0; x < dx; x++ {
-				s.rowOK[x] = s.yRun[x*dy+by0] >= sy0
-			}
-			computeRunsBool(s.rowOK[:dx], wrap, s.xRun)
-			for x := 0; x < dx; x++ {
-				r := s.xRun[x]
-				if wrap && r == dx && x != 0 {
-					continue
-				}
-				if a := r * sy0; a > area {
-					area, bx, by, sx, sy = a, x, by0, r, sy0
-				}
 			}
 		}
 	}
 	return
+}
+
+// MaxFreeSize returns just the size of the maximal free partition.
+func MaxFreeSize(gr *torus.Grid) int {
+	_, s := MaxFree(gr)
+	return s
 }

@@ -3,6 +3,7 @@ package partition
 import (
 	"slices"
 
+	"bgsched/internal/telemetry"
 	"bgsched/internal/torus"
 )
 
@@ -22,9 +23,15 @@ import (
 // The memo is keyed on the grid's geometry and exact occupancy bitset
 // (torus.Grid.Occupancy): a query about any other state starts a fresh
 // memo, so no answer comes from another state and callers never
-// invalidate by hand. Lookups allocate nothing once the buffers fit the
-// geometry. Not safe for concurrent use; the zero value is ready.
+// invalidate by hand. A fresh memo bit-slices the state into row words
+// once, and MaxFree and every plate sweep of that state read them.
+// Lookups allocate nothing once the buffers fit the geometry. Not safe
+// for concurrent use; the zero value is ready.
 type MFPCache struct {
+	// Sweeps, when non-nil, counts every sweep the cache runs: MaxFree
+	// and plate sweeps alike.
+	Sweeps *telemetry.Counter
+
 	geom    torus.Geometry
 	key     []uint64 // occupancy bitset of the memoized state
 	gen     uint64   // bumped per state; memos of other generations are stale
@@ -57,13 +64,15 @@ func (c *MFPCache) sync(gr *torus.Grid) {
 	c.geom = g
 	c.key = append(c.key[:0], occ...)
 	c.gen++
+	c.scratch.slice(gr)
 }
 
 // MaxFree returns MaxFree(gr), computed once per occupancy state.
 func (c *MFPCache) MaxFree(gr *torus.Grid) (torus.Partition, int) {
 	c.sync(gr)
 	if c.free.gen != c.gen {
-		part, size := maxFreeWith(&c.scratch, gr, plate{})
+		c.Sweeps.Inc()
+		part, size := c.scratch.sweep(c.geom, plate{})
 		c.free = mfpMemo{c.gen, part, size}
 	}
 	return c.free.part, c.free.size
@@ -83,7 +92,7 @@ func (c *MFPCache) MaxFreeProbe(gr *torus.Grid, p torus.Partition) (torus.Partit
 	for axis, s := range spans {
 		start, length, dim := s[0], s[1], s[2]
 		if length < dim {
-			if m := c.plateMFP(gr, plate{axis, start, length}, idx+start*dim+length-1); m.size > best.size {
+			if m := c.plateMFP(plate{axis, start, length}, idx+start*dim+length-1); m.size > best.size {
 				best = m
 			}
 		}
@@ -92,15 +101,17 @@ func (c *MFPCache) MaxFreeProbe(gr *torus.Grid, p torus.Partition) (torus.Partit
 	return best.part, best.size
 }
 
-// plateMFP returns MaxFree of gr with pl blocked, memoized at index idx.
-func (c *MFPCache) plateMFP(gr *torus.Grid, pl plate, idx int) mfpMemo {
+// plateMFP returns MaxFree of the memoized state with pl blocked,
+// memoized at index idx.
+func (c *MFPCache) plateMFP(pl plate, idx int) mfpMemo {
 	m := &c.plates[idx]
 	if m.gen == c.gen {
 		c.hits++
 		return *m
 	}
 	c.misses++
-	part, size := maxFreeWith(&c.scratch, gr, pl)
+	c.Sweeps.Inc()
+	part, size := c.scratch.sweep(c.geom, pl)
 	*m = mfpMemo{c.gen, part, size}
 	return *m
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -202,23 +203,43 @@ func TestFreeOfSizeIntoMatchesFreeOfSize(t *testing.T) {
 	}
 }
 
+// edgeGeometries are the shapes at the edges of the MFP sweep's row
+// layout (one Y-bit word per x and z): rows that fill their word
+// (Y = 64), one-wide planes and a single plane (Z = 1).
+var edgeGeometries = []torus.Geometry{
+	torus.NewGeometry(2, 64, 2, true), torus.NewGeometry(2, 64, 2, false),
+	torus.NewGeometry(1, 64, 3, false),
+	torus.NewGeometry(1, 1, 9, true), torus.NewGeometry(6, 1, 4, false),
+	torus.NewGeometry(64, 2, 1, true),
+}
+
+// canonical reports whether p is a valid partition of g whose base is
+// 0 on every axis it spans in full, the one base finders emit.
+func canonical(g torus.Geometry, p torus.Partition) bool {
+	return g.ValidPartition(p) &&
+		(p.Shape.X < g.Dims.X || p.Base.X == 0) &&
+		(p.Shape.Y < g.Dims.Y || p.Base.Y == 0) &&
+		(p.Shape.Z < g.Dims.Z || p.Base.Z == 0)
+}
+
 func TestMaxFreeMatchesNaive(t *testing.T) {
-	for _, wrap := range []bool{true, false} {
-		g := torus.NewGeometry(4, 4, 8, wrap)
+	for _, g := range append([]torus.Geometry{
+		torus.NewGeometry(4, 4, 8, true), torus.NewGeometry(4, 4, 8, false),
+	}, edgeGeometries...) {
 		for seed := int64(0); seed < 40; seed++ {
 			fill := float64(seed%10) / 10.0
 			gr := randomGrid(t, g, fill, 500+seed)
 			pFast, sFast := MaxFree(gr)
 			_, sNaive := MaxFreeNaive(gr)
 			if sFast != sNaive {
-				t.Fatalf("wrap=%v seed=%d: MaxFree size = %d, naive = %d", wrap, seed, sFast, sNaive)
+				t.Fatalf("%s seed=%d: MaxFree size = %d, naive = %d", g.Spec(), seed, sFast, sNaive)
 			}
 			if sFast > 0 {
-				if !gr.PartitionFree(pFast) {
-					t.Fatalf("MaxFree returned non-free partition %v", pFast)
+				if !canonical(g, pFast) || !gr.PartitionFree(pFast) {
+					t.Fatalf("%s seed=%d: MaxFree returned non-canonical or non-free partition %v", g.Spec(), seed, pFast)
 				}
 				if pFast.Size() != sFast {
-					t.Fatalf("MaxFree partition %v has size %d, reported %d", pFast, pFast.Size(), sFast)
+					t.Fatalf("%s seed=%d: MaxFree partition %v has size %d, reported %d", g.Spec(), seed, pFast, pFast.Size(), sFast)
 				}
 			}
 		}
@@ -227,27 +248,37 @@ func TestMaxFreeMatchesNaive(t *testing.T) {
 
 // TestMaxFreeProbeMatchesNaive checks the plate identity behind
 // MFPCache.MaxFreeProbe on asymmetric tori and meshes, including a
-// one-wide axis every placement spans: on random grids, the probe of
-// every free partition of a few sizes equals the brute-force MFP of the
-// grid with that partition allocated, and its partition is free there.
-// One cache serves every grid, so its occupancy key is exercised too.
+// one-wide axis every placement spans, and on the edge geometries of
+// the row layout: on random grids, the probe of every free partition
+// of a few sizes (every N/8-th on machines of N >= 128 nodes, whose
+// brute-force MFP is slow) equals the brute-force MFP of the grid with
+// that partition allocated, and its partition is canonical and free
+// there. One cache serves every grid, so its occupancy key is
+// exercised too.
 func TestMaxFreeProbeMatchesNaive(t *testing.T) {
 	c := NewMFPCache()
 	probes := 0
-	for _, g := range []torus.Geometry{
+	for _, g := range append([]torus.Geometry{
 		torus.NewGeometry(3, 5, 7, true), torus.NewGeometry(3, 5, 7, false),
 		torus.NewGeometry(1, 4, 6, true), torus.NewGeometry(5, 2, 3, false),
-	} {
+	}, edgeGeometries...) {
+		stride := 1
+		if g.N() >= 128 {
+			stride = g.N() / 8
+		}
 		for seed := int64(0); seed < 4; seed++ {
 			gr := randomGrid(t, g, 0.1+0.2*float64(seed), 700+seed)
 			for _, size := range []int{1, 2, 4, 6} {
-				for _, p := range (ShapeFinder{}).FreeOfSize(gr, size) {
+				for i, p := range (ShapeFinder{}).FreeOfSize(gr, size) {
+					if i%stride != 0 {
+						continue
+					}
 					part, got := c.MaxFreeProbe(gr, p)
 					if err := gr.Allocate(p, -1); err != nil {
 						t.Fatal(err)
 					}
 					_, want := MaxFreeNaive(gr)
-					free := got == 0 || part.Size() == got && gr.PartitionFree(part)
+					free := got == 0 || part.Size() == got && canonical(g, part) && gr.PartitionFree(part)
 					if err := gr.Release(p, -1); err != nil {
 						t.Fatal(err)
 					}
@@ -401,4 +432,51 @@ func BenchmarkMaxFree(b *testing.B) {
 			MaxFreeNaive(gr)
 		}
 	})
+	b.Run("probe", benchPlateSweepCold)
+}
+
+// benchPlateSweepCold times a cold plate sweep: an MFPCache probe of a
+// state the cache has not seen. The probed partition is a free x-slab,
+// whose y and z plates span the ring, so each probe sweeps its x-plate
+// alone. One cache serves every probe and the timer never stops; each
+// iteration toggles one of 20 free nodes off the slab along a Gray-code
+// walk, so no state recurs within 2^20 probes and every probe sweeps,
+// which the benchmark checks against the cache's miss count.
+func benchPlateSweepCold(b *testing.B) {
+	gr := benchGrid(b, 0.3)
+	g := gr.Geometry()
+	slab := torus.Partition{Shape: torus.Shape{X: 1, Y: g.Dims.Y, Z: g.Dims.Z}}
+	for _, id := range g.Nodes(slab) {
+		if o := gr.OwnerAt(id); o != torus.FreeOwner {
+			if err := gr.Release(torus.Partition{Base: g.CoordOf(id), Shape: torus.Shape{X: 1, Y: 1, Z: 1}}, o); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	var walk []torus.Partition
+	for id := 0; id < g.N() && len(walk) < 20; id++ {
+		if gr.NodeFree(id) && !g.ContainsNode(slab, id) {
+			walk = append(walk, torus.Partition{Base: g.CoordOf(id), Shape: torus.Shape{X: 1, Y: 1, Z: 1}})
+		}
+	}
+	const owner = 1 << 40 // no benchGrid owner comes close
+	c := NewMFPCache()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		p := walk[bits.TrailingZeros(uint(i))%len(walk)]
+		var err error
+		if gr.NodeFree(g.Index(p.Base)) {
+			err = gr.Allocate(p, owner)
+		} else {
+			err = gr.Release(p, owner)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.MaxFreeProbe(gr, slab)
+	}
+	b.StopTimer()
+	if _, misses := c.Stats(); misses != uint64(b.N) {
+		b.Fatalf("%d plate sweeps in %d probes, want one per probe", misses, b.N)
+	}
 }

@@ -74,6 +74,10 @@ func (f ShapeFinder) FreeOfSize(gr *torus.Grid, size int) []torus.Partition {
 func (f ShapeFinder) FreeOfSizeInto(gr *torus.Grid, size int, buf []torus.Partition) []torus.Partition {
 	sw := f.Metrics.startTimer()
 	out := buf[:0]
+	if gr.FreeCount() < size { // fewer free nodes than requested: no candidate exists
+		f.Metrics.observe(sw, 0, 0, 0)
+		return out
+	}
 	sc := getShapeScratch()
 	defer putShapeScratch(sc)
 	sc.shapes = gr.Geometry().AppendShapesOf(sc.shapes[:0], size)
@@ -81,10 +85,7 @@ func (f ShapeFinder) FreeOfSizeInto(gr *torus.Grid, size int, buf []torus.Partit
 		f.Metrics.noShapes(sw)
 		return out
 	}
-	bases, rejects := 0, 0
-	if gr.FreeCount() >= size { // fewer free nodes than requested: no candidate exists
-		out, bases, rejects = sc.appendFree(gr, out)
-	}
+	out, bases, rejects := sc.appendFree(gr, out)
 	f.Metrics.observe(sw, len(out), bases, rejects)
 	return out
 }
@@ -141,10 +142,11 @@ func (sc *shapeScratch) appendFree(gr *torus.Grid, out []torus.Partition) ([]tor
 	return out, bases, rejects
 }
 
-// windowBases returns the z-bases of a dz-bit column word: bit b is set
-// iff no bit of busy lies in the window [b, b+sz), read cyclically on a
-// torus and cut at the top edge on a mesh. Each shift-AND doubles the
-// window length covered, so a window takes O(log sz) steps.
+// windowBases returns the window bases of a dz-bit busy word (a
+// z-column, or a y-row of the MFP sweep): bit b is set iff no bit of
+// busy lies in the window [b, b+sz), read cyclically on a torus and cut
+// at the top edge on a mesh. Each shift-AND doubles the window length
+// covered, so a window takes O(log sz) steps.
 func windowBases(busy uint64, dz, sz int, wrap bool) uint64 {
 	w := ^busy & lowBits(dz)
 	for have := 1; have < sz; {
