@@ -29,9 +29,9 @@ func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 		name string
 		cfg  experiments.RunConfig
 	}{
-		{"fast-baseline", experiments.RunConfig{
+		{"shape-baseline", experiments.RunConfig{
 			Workload: "SDSC", JobCount: 1000, FailureNominal: 1000,
-			Scheduler: experiments.SchedBaseline, Seed: 1, Finder: "fast",
+			Scheduler: experiments.SchedBaseline, Seed: 1,
 		}},
 		// The README headline configuration: the default shape finder,
 		// balancing at a=0.1 and EASY backfill.
@@ -56,8 +56,8 @@ func steadyStateZeroAllocs(t *testing.T, rc experiments.RunConfig) {
 	}
 
 	// Full run first: learns the run's event count and warms the
-	// scheduler-side caches (MFP cache, finder memo) that live in cfg
-	// and carry across sim.New.
+	// scheduler-side buffers and MFP cache that live in cfg and carry
+	// across sim.New.
 	warm, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)

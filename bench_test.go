@@ -14,7 +14,6 @@ package bgsched
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -126,9 +125,9 @@ func BenchmarkPartitionFinders(b *testing.B) {
 	})
 }
 
-// fastBenchGrid builds the fast-finder benchmark state: the paper's
-// 4x4x8 torus at 50% occupancy (seeded, deterministic).
-func fastBenchGrid(b *testing.B) *torus.Grid {
+// halfFullGrid builds the annealing benchmark's state: the paper's
+// 4x4x8 torus at exactly 50% occupancy (seeded, deterministic).
+func halfFullGrid(b *testing.B) *torus.Grid {
 	b.Helper()
 	g := torus.BlueGeneL()
 	gr := torus.NewGrid(g)
@@ -143,8 +142,7 @@ func fastBenchGrid(b *testing.B) *torus.Grid {
 			owner++
 		}
 	}
-	// Top up to exactly half occupancy: the random draw lands near 50%
-	// but the README's speedup claim pins ">= 50% occupied".
+	// Top up to exactly half occupancy: the random draw lands near 50%.
 	for id := 0; id < g.N() && 2*gr.FreeCount() > g.N(); id++ {
 		if gr.NodeFree(id) {
 			p := torus.Partition{Base: g.CoordOf(id), Shape: torus.Shape{X: 1, Y: 1, Z: 1}}
@@ -155,66 +153,6 @@ func fastBenchGrid(b *testing.B) *torus.Grid {
 		}
 	}
 	return gr
-}
-
-// BenchmarkFastFinderCold measures a fast-finder query on a state the
-// memo has not seen: a full enumeration plus the slot refill. One
-// finder serves every query and the timer never stops; each iteration
-// toggles one of 20 free nodes of the benchmark grid along a Gray-code
-// walk, so no state recurs within 2^20 queries and every query misses,
-// which the benchmark checks against the cache-miss counter.
-func BenchmarkFastFinderCold(b *testing.B) {
-	gr := fastBenchGrid(b)
-	var walk []torus.Partition
-	for id := 0; id < gr.Geometry().N() && len(walk) < 20; id++ {
-		if gr.NodeFree(id) {
-			walk = append(walk, torus.Partition{Base: gr.Geometry().CoordOf(id), Shape: torus.Shape{X: 1, Y: 1, Z: 1}})
-		}
-	}
-	const owner = 1 << 40 // no fastBenchGrid owner comes close
-	reg := telemetry.New()
-	f := partition.Instrumented(partition.NewFastFinder(), reg)
-	b.ResetTimer()
-	for i := 1; i <= b.N; i++ {
-		p := walk[bits.TrailingZeros(uint(i))%len(walk)]
-		var err error
-		if gr.NodeFree(gr.Geometry().Index(p.Base)) {
-			err = gr.Allocate(p, owner)
-		} else {
-			err = gr.Release(p, owner)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		f.FreeOfSize(gr, 8)
-	}
-	b.StopTimer()
-	if misses := reg.Counter("finder.fast.cache_misses").Value(); misses != int64(b.N) {
-		b.Fatalf("%d cache misses in %d queries, want every query to miss", misses, b.N)
-	}
-}
-
-// BenchmarkFastFinderWarm measures the steady state the scheduler hot
-// path sees between machine-state changes: repeated queries answered
-// from the memo cache. The shape sub-benchmark is the baseline the
-// README's >= 5x speedup claim is measured against — same grid, same
-// size, per-query enumeration.
-func BenchmarkFastFinderWarm(b *testing.B) {
-	gr := fastBenchGrid(b)
-	b.Run("fast", func(b *testing.B) {
-		f := partition.NewFastFinder()
-		f.FreeOfSize(gr, 8) // populate the cache
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			f.FreeOfSize(gr, 8)
-		}
-	})
-	b.Run("shape", func(b *testing.B) {
-		f := partition.ShapeFinder{}
-		for i := 0; i < b.N; i++ {
-			f.FreeOfSize(gr, 8)
-		}
-	})
 }
 
 // BenchmarkSchedulerDecision measures one Schedule() call — the
@@ -499,7 +437,7 @@ func BenchmarkAblationCheckpointing(b *testing.B) {
 
 // BenchmarkKernelSteadyState measures the simulator's steady-state
 // event loop: one op is one dispatched calendar event of an SDSC run
-// under the baseline scheduler with the fast finder, telemetry on and
+// under the baseline scheduler with the shape finder, telemetry on and
 // tracing off — the exact hot path every sweep, tournament and branch
 // grid grinds through. Simulator construction happens outside the
 // timer (a fresh run is set up whenever the previous one drains), so
@@ -511,14 +449,14 @@ func BenchmarkKernelSteadyState(b *testing.B) {
 	reg := telemetry.New()
 	cfg, _, err := build.Default(experiments.RunConfig{
 		Workload: "SDSC", JobCount: benchJobs, FailureNominal: 1000,
-		Scheduler: experiments.SchedBaseline, Seed: 1, Finder: "fast",
+		Scheduler: experiments.SchedBaseline, Seed: 1,
 		Telemetry: reg,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	// Warm-up run: counts the events one run dispatches and warms the
-	// finder caches the steady state relies on.
+	// scheduler buffers and MFP cache the steady state relies on.
 	warm, err := sim.New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -555,11 +493,11 @@ func BenchmarkKernelSteadyState(b *testing.B) {
 }
 
 // BenchmarkAnnealFinder measures the annealing placement search on the
-// half-occupied paper machine: one Place call over the warm candidate
-// set, the incremental cost the anneal finder adds on top of fast
+// half-occupied paper machine: one Place call over the candidate set,
+// the incremental cost the anneal finder adds on top of shape
 // enumeration at every scheduling decision.
 func BenchmarkAnnealFinder(b *testing.B) {
-	gr := fastBenchGrid(b)
+	gr := halfFullGrid(b)
 	f := partition.NewAnnealFinder(7)
 	cands := f.FreeOfSize(gr, 8)
 	if len(cands) < 2 {

@@ -60,7 +60,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		downtime  = fs.Float64("downtime", 0, "seconds a failed node stays out of service")
 		seed      = fs.Int64("seed", 1, "random seed for workload and failure generation")
 
-		finder     = fs.String("finder", "shape", "partition search algorithm: naive, pop, shape, fast (cached fast path; identical decisions, lower cost) or anneal (communication-aware placement)")
+		finder     = fs.String("finder", "shape", "partition search algorithm: naive, pop, shape or anneal (communication-aware placement); fast is another name for shape")
 		annealSeed = fs.Int64("anneal-seed", 0, "seed for the anneal finder's placement search (must be >= 0; ignored by other finders)")
 		cont       = fs.String("contention", "off", "network-contention preset: off, low, medium or high")
 

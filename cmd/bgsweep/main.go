@@ -66,7 +66,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		resume  = fs.String("resume", "", "resume from this journal: skip its completed points, append new ones")
 		check   = fs.Bool("check", false, "validate simulator conservation invariants at every event")
 
-		finder     = fs.String("finder", "", "partition search algorithm for every sweep point: naive, pop, shape, fast or anneal (empty = shape default)")
+		finder     = fs.String("finder", "", "partition search algorithm for every sweep point: naive, pop, shape or anneal (empty = shape default; fast is another name for shape)")
 		annealSeed = fs.Int64("anneal-seed", 0, "anneal finder placement-search seed for every sweep point (must be >= 0; 0 keeps per-point defaults)")
 		cont       = fs.String("contention", "", "network-contention preset for every sweep point: off, low, medium or high (empty = off)")
 		tournament = fs.Bool("tournament", false, "run the placement-policy tournament (every finder x workload x contention) instead of -fig")
@@ -305,14 +305,9 @@ func writeSweepMetrics(obs *telemetry.CLIFlags, m *telemetry.Manifest, tables []
 
 // finderComparison times the partition-finder algorithms on random
 // occupancies — the asymptotic comparison of Section 5 and Appendix 9
-// (naive O(M^9), POP O(M^5), shape O(M^3 f(s)^3)) plus the cached fast
-// path. The gap is invisible on the paper's 4x4x8 scheduling view, so
-// the table also measures larger machines, where the naive finder
-// collapses. The fast finder is reported twice: fast-cold constructs a
-// fresh finder per call (pure enumeration cost) and fast-warm reuses
-// one finder on an unchanging grid, so after the first call every
-// query is a cache hit — the steady state the scheduler hot path sees
-// between machine-state changes.
+// (naive O(M^9), POP O(M^5), shape O(M^3 f(s)^3)). The gap is invisible
+// on the paper's 4x4x8 scheduling view, so the table also measures
+// larger machines, where the naive finder collapses.
 func finderComparison(out io.Writer) error {
 	finders := []partition.Finder{partition.NaiveFinder{}, partition.POPFinder{}, partition.ShapeFinder{}}
 	machines := []string{"4x4x8", "8x8x8", "16x16x16"}
@@ -320,8 +315,8 @@ func finderComparison(out io.Writer) error {
 	sizes := []int{8, 64}
 
 	fmt.Fprintln(out, "Partition-finder comparison (ns/op)")
-	fmt.Fprintf(out, "%-10s %-6s %-6s %12s %12s %12s %12s %12s\n",
-		"machine", "fill", "size", "naive", "pop", "shape", "fast-cold", "fast-warm")
+	fmt.Fprintf(out, "%-10s %-6s %-6s %12s %12s %12s\n",
+		"machine", "fill", "size", "naive", "pop", "shape")
 	for _, spec := range machines {
 		g, err := torus.Parse(spec)
 		if err != nil {
@@ -345,33 +340,23 @@ func finderComparison(out io.Writer) error {
 				for _, f := range finders {
 					fmt.Fprintf(out, " %12d", timeFinder(f, gr, size))
 				}
-				cold := timeOp(func() { partition.NewFastFinder().FreeOfSize(gr, size) })
-				warm := partition.NewFastFinder()
-				warm.FreeOfSize(gr, size) // populate the cache
-				fmt.Fprintf(out, " %12d %12d\n", cold,
-					timeOp(func() { warm.FreeOfSize(gr, size) }))
+				fmt.Fprintln(out)
 			}
 		}
 	}
 	return nil
 }
 
-// timeOp measures one operation's ns/op with the same adaptive budget
-// as timeFinder.
-func timeOp(op func()) int64 {
-	const budget = 100 * time.Millisecond
-	iters := 0
-	start := time.Now()
-	for time.Since(start) < budget {
-		op()
-		iters++
-	}
-	return time.Since(start).Nanoseconds() / int64(iters)
-}
-
 // timeFinder measures ns/op with an adaptive iteration count (~100 ms
 // per cell), since costs span four orders of magnitude across machine
 // sizes.
 func timeFinder(f partition.Finder, gr *torus.Grid, size int) int64 {
-	return timeOp(func() { f.FreeOfSize(gr, size) })
+	const budget = 100 * time.Millisecond
+	iters := 0
+	start := time.Now()
+	for time.Since(start) < budget {
+		f.FreeOfSize(gr, size)
+		iters++
+	}
+	return time.Since(start).Nanoseconds() / int64(iters)
 }

@@ -40,15 +40,18 @@ func TestBgsweepFinders(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"naive", "pop", "shape", "fast-cold", "fast-warm"} {
+	for _, want := range []string{"naive", "pop", "shape"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("finder table missing %q", want)
 		}
 	}
+	if strings.Contains(out, "fast") {
+		t.Errorf("finder table still has a fast column:\n%s", out)
+	}
 }
 
 // A figure swept under -finder=fast must produce the same table as the
-// shape default: the algorithms return identical candidate sets.
+// shape default: "fast" is another name for the shape finder.
 func TestBgsweepFinderFlagInvariant(t *testing.T) {
 	base := []string{"-fig", "fig4", "-jobs", "50", "-reps", "1", "-workers", "1"}
 	var want, got bytes.Buffer

@@ -58,7 +58,7 @@ type Builder struct {
 // Artifacts exposes the intermediate stage products of one build, for
 // tests and diagnostics. Log, Trace and Index are shared cache entries
 // and must not be mutated; Jobs is a run-private clone owned by the
-// caller until ReleaseJobs hands it back to the cache's pool.
+// caller.
 type Artifacts struct {
 	Geometry torus.Geometry
 	Log      *workload.Log
@@ -67,27 +67,17 @@ type Artifacts struct {
 	Failures int     // injected failure count after nominal scaling
 	Trace    failure.Trace
 	Index    *failure.Index // nil unless a stage consulted it
-
-	// cache and jobsKey route ReleaseJobs back to the pool the Jobs
-	// clone was acquired from; released latches so a double release
-	// can never pool the same slice twice.
-	cache    *Cache
-	jobsKey  string
-	released bool
 }
 
-// ReleaseJobs returns the run's job-slice clone to the build cache for
-// reuse by a later build of the same workload point. Call it only once
-// the simulator that ran on these jobs has been dropped and all needed
-// results extracted — sim.Result and its Outcomes hold no job
-// pointers, so the experiments layer releases after every completed
-// run. Safe on nil and idempotent.
+// ReleaseJobs drops the artifacts' reference to the run's job-slice
+// clone, so a caller that keeps the Artifacts past the run does not
+// keep the jobs alive. sim.Result and its Outcomes hold no job
+// pointers, so a caller may release once the run's result is out.
+// Safe on nil and idempotent.
 func (a *Artifacts) ReleaseJobs() {
-	if a == nil || a.released || a.cache == nil {
+	if a == nil {
 		return
 	}
-	a.released = true
-	a.cache.releaseJobs(a.jobsKey, a.Jobs)
 	a.Jobs = nil
 }
 
@@ -171,13 +161,16 @@ func (b *Builder) Build(cfg RunConfig) (sim.Config, *Artifacts, error) {
 		return sim.Config{}, nil, err
 	}
 	met.record("jobs", hit)
-	jobs := cache.acquireJobs(jobsKey, jobsV.([]*job.Job))
+	jobs := cloneJobs(jobsV.([]*job.Job))
 
 	// Stage 4: failure trace, keyed by the derived generator inputs
 	// (machine size, injected count, horizon, seed) so different
 	// nominal counts that scale to the same injection share an entry.
 	span := log.Span() * QueueDrainSlack
-	count := ScaledFailureCount(cfg.FailureNominal, cfg.FailureScale, span)
+	count, err := ScaledFailureCount(cfg.FailureNominal, cfg.FailureScale, span)
+	if err != nil {
+		return sim.Config{}, nil, err
+	}
 	var ftrace failure.Trace
 	if count > 0 {
 		traceKey := stageKey("trace", struct {
@@ -201,8 +194,7 @@ func (b *Builder) Build(cfg RunConfig) (sim.Config, *Artifacts, error) {
 	// Stage 5: failure index, keyed by the trace's identity and
 	// materialised lazily — only the predictor-driven policies and the
 	// predictive checkpointer consult it.
-	art := &Artifacts{Geometry: g, Log: log, Jobs: jobs, Span: span, Failures: count, Trace: ftrace,
-		cache: cache, jobsKey: jobsKey}
+	art := &Artifacts{Geometry: g, Log: log, Jobs: jobs, Span: span, Failures: count, Trace: ftrace}
 	index := func() (*failure.Index, error) {
 		if art.Index != nil {
 			return art.Index, nil

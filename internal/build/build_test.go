@@ -1,11 +1,16 @@
 package build
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"bgsched/internal/job"
 	"bgsched/internal/sim"
 	"bgsched/internal/telemetry"
 )
@@ -231,6 +236,88 @@ func TestCacheErrorNotCached(t *testing.T) {
 	}
 }
 
+// TestCachePanicFinishesFlight: a compute that panics still finishes
+// its flight. The panic reaches the computing caller, a caller waiting
+// on the flight gets an error, nothing is inserted, and a later call
+// for the key computes afresh instead of blocking forever.
+func TestCachePanicFinishesFlight(t *testing.T) {
+	c := NewCache(0)
+	started, release := make(chan struct{}), make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.GetOrCompute("k", func() (any, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	type outcome struct {
+		v   any
+		err error
+	}
+	waited := make(chan outcome, 1)
+	go func() {
+		v, _, err := c.GetOrCompute("k", func() (any, error) { return "computed by the waiter", nil })
+		waited <- outcome{v, err}
+	}()
+	waitForFlightWaiter(t)
+	close(release)
+
+	const patience = 5 * time.Second
+	select {
+	case p := <-panicked:
+		if p != "boom" {
+			t.Fatalf("computing caller recovered %v, want the compute's panic", p)
+		}
+	case <-time.After(patience):
+		t.Fatal("the panic never reached the computing caller")
+	}
+	select {
+	case o := <-waited:
+		if !errors.Is(o.err, errComputePanicked) {
+			t.Fatalf("waiter got (%v, %v), want errComputePanicked", o.v, o.err)
+		}
+	case <-time.After(patience):
+		t.Fatal("waiter still blocked on the panicked flight")
+	}
+	if c.Len() != 0 {
+		t.Fatal("a panicked computation was cached")
+	}
+	again := make(chan outcome, 1)
+	go func() {
+		v, hit, err := c.GetOrCompute("k", func() (any, error) { return 42, nil })
+		if hit {
+			err = fmt.Errorf("hit after a panicked flight")
+		}
+		again <- outcome{v, err}
+	}()
+	select {
+	case o := <-again:
+		if o.err != nil || o.v != 42 {
+			t.Fatalf("later call = (%v, %v), want a fresh 42", o.v, o.err)
+		}
+	case <-time.After(patience):
+		t.Fatal("later call for the key blocked on the panicked flight")
+	}
+}
+
+// waitForFlightWaiter blocks until some goroutine is parked inside
+// GetOrCompute itself — a caller waiting on another's flight, not a
+// compute — failing the test after a few seconds.
+func waitForFlightWaiter(t *testing.T) {
+	t.Helper()
+	const parked = "[chan receive]:\nbgsched/internal/build.(*Cache).GetOrCompute("
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if strings.Contains(string(buf[:runtime.Stack(buf, true)]), parked) {
+			return
+		}
+	}
+	t.Fatal("no caller ever waited on the flight")
+}
+
 // TestCacheCoalescing: concurrent misses on one key run the compute
 // once; every other caller blocks and shares the result.
 func TestCacheCoalescing(t *testing.T) {
@@ -327,76 +414,26 @@ func mustRun(t *testing.T, b *Builder, cfg RunConfig) sim.Result {
 	return res
 }
 
-// TestJobClonePoolRecycles: releasing a run's job-slice clone makes
-// the next build of the same point reuse the identical backing structs
-// (pointer identity), fully re-initialised from the cached master so
-// the previous run's mutations cannot leak.
-func TestJobClonePoolRecycles(t *testing.T) {
+// TestJobClonesCrossRunIsolation: back-to-back full simulations of the
+// same point — the sweep engine's pattern via experiments.RunContext —
+// stay byte-identical, no two builds share a job struct, and the cached
+// master slice never absorbs a run's mutations. ReleaseJobs drops the
+// clone, is idempotent and is safe on nil.
+func TestJobClonesCrossRunIsolation(t *testing.T) {
 	b := &Builder{Cache: NewCache(0)}
-	_, a1, err := b.Build(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	run1 := a1.Jobs
-	pristine := make([]interface{}, len(run1))
-	for i, j := range run1 {
-		cp := *j
-		pristine[i] = cp
-	}
-	// Simulate a run mutating its private clones.
-	for _, j := range run1 {
-		j.Actual = -1
-		j.Estimate = -1
-	}
-	a1.ReleaseJobs()
-	if a1.Jobs != nil {
-		t.Fatal("ReleaseJobs left the artifact holding the clone")
-	}
-	a1.ReleaseJobs() // idempotent
-
-	_, a2, err := b.Build(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a2.Jobs) != len(run1) {
-		t.Fatalf("job counts differ: %d vs %d", len(a2.Jobs), len(run1))
-	}
-	recycled := 0
-	for i := range a2.Jobs {
-		if a2.Jobs[i] == run1[i] {
-			recycled++
-		}
-		if got := *a2.Jobs[i]; got != pristine[i] {
-			t.Fatalf("job %d not reset from master: %+v vs %+v", i, got, pristine[i])
-		}
-	}
-	if recycled != len(run1) {
-		t.Fatalf("recycled %d/%d job structs, want all", recycled, len(run1))
-	}
-
-	// A third build without a release must NOT share run 2's structs.
-	_, a3, err := b.Build(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a3.Jobs {
-		if a3.Jobs[i] == a2.Jobs[i] {
-			t.Fatalf("job %d aliased between two live builds", i)
-		}
-	}
-}
-
-// TestJobClonePoolCrossRunIsolation: with the pool active, back-to-back
-// full simulations of the same point — the sweep engine's pattern via
-// experiments.RunContext — stay byte-identical, and the cached master
-// slice never absorbs a run's mutations.
-func TestJobClonePoolCrossRunIsolation(t *testing.T) {
-	b := &Builder{Cache: NewCache(0)}
-	runOnce := func() (sim.Result, *Artifacts) {
+	var prev []*job.Job
+	var results []sim.Result
+	for run := 0; run < 3; run++ {
 		sc, art, err := b.Build(testCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
+		for i := range prev {
+			if art.Jobs[i] == prev[i] {
+				t.Fatalf("run %d: job %d shared with the previous build", run, i)
+			}
+		}
+		prev = art.Jobs
 		s, err := sim.New(sc)
 		if err != nil {
 			t.Fatal(err)
@@ -405,23 +442,25 @@ func TestJobClonePoolCrossRunIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, art
+		results = append(results, res)
+		art.ReleaseJobs()
+		if art.Jobs != nil {
+			t.Fatal("ReleaseJobs left the artifact holding the clone")
+		}
+		art.ReleaseJobs() // idempotent
 	}
-	res1, art1 := runOnce()
-	art1.ReleaseJobs() // run over, result extracted: recycle
-	res2, art2 := runOnce()
-	art2.ReleaseJobs()
-	res3, _ := runOnce() // recycled again
-	if !reflect.DeepEqual(res1, res2) || !reflect.DeepEqual(res2, res3) {
-		t.Fatal("pooled job clones changed simulation results across runs")
+	(*Artifacts)(nil).ReleaseJobs()
+	if !reflect.DeepEqual(results[0], results[1]) || !reflect.DeepEqual(results[1], results[2]) {
+		t.Fatal("job clones changed simulation results across runs")
 	}
 }
 
-// TestJobClonePoolConcurrent hammers acquire/release from a worker
-// fleet — the sweep engine's parallel point execution — and checks
-// that no two live builds ever share a job struct. Run under -race by
-// the build cache race guard.
-func TestJobClonePoolConcurrent(t *testing.T) {
+// TestJobClonesConcurrent hammers build/release from a worker fleet —
+// the sweep engine's parallel point execution — scribbling on every
+// clone, and checks that the masters stay pristine. Run under -race by
+// the build cache race guard, which also catches two live builds
+// sharing a job struct.
+func TestJobClonesConcurrent(t *testing.T) {
 	b := &Builder{Cache: NewCache(0)}
 	if _, _, err := b.Build(testCfg()); err != nil { // warm the masters
 		t.Fatal(err)

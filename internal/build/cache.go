@@ -1,9 +1,9 @@
 package build
 
 import (
+	"errors"
 	"sync"
 
-	"bgsched/internal/job"
 	"bgsched/internal/lru"
 )
 
@@ -23,17 +23,12 @@ const DefaultCacheCapacity = 256
 //
 // Values stored in the cache are shared across goroutines and runs;
 // they must never be mutated after insertion. Stages whose artifacts
-// are mutated downstream (job slices) store a master copy and hand out
-// clones.
+// are mutated downstream (job slices) store a master copy, and every
+// build clones it.
 type Cache struct {
 	mu       sync.Mutex
 	items    *lru.Cache[string, any]
 	inflight map[string]*flight
-	// jobPool recycles run-private job-slice clones, keyed by the jobs
-	// stage key. A sweep rebuilding the same workload point reuses the
-	// previous run's clone (re-initialised from the cached master)
-	// instead of allocating a fresh slice of job structs per run.
-	jobPool map[string][][]*job.Job
 }
 
 // flight is one in-progress computation; waiters block on done.
@@ -52,7 +47,6 @@ func NewCache(capacity int) *Cache {
 	return &Cache{
 		items:    lru.New[string, any](capacity),
 		inflight: make(map[string]*flight),
-		jobPool:  make(map[string][][]*job.Job),
 	}
 }
 
@@ -62,11 +56,17 @@ func NewCache(capacity int) *Cache {
 // other's artifacts.
 var Shared = NewCache(DefaultCacheCapacity)
 
+// errComputePanicked is what coalesced waiters receive when the
+// computation they waited on panicked.
+var errComputePanicked = errors.New("build: artifact computation panicked")
+
 // GetOrCompute returns the artifact for key, computing and inserting it
 // on a miss. hit reports whether the value came from the cache (a
 // coalesced wait on another caller's in-flight computation counts as a
 // hit: the work was shared, not repeated). Compute errors are returned
-// to every coalesced caller and nothing is inserted.
+// to every coalesced caller and nothing is inserted. A panicking
+// compute finishes its flight the same way, with errComputePanicked,
+// before the panic continues, so a later call computes afresh.
 func (c *Cache) GetOrCompute(key string, compute func() (any, error)) (val any, hit bool, err error) {
 	c.mu.Lock()
 	if v, ok := c.items.Get(key); ok {
@@ -78,19 +78,20 @@ func (c *Cache) GetOrCompute(key string, compute func() (any, error)) (val any, 
 		<-f.done
 		return f.val, true, f.err
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight{done: make(chan struct{}), err: errComputePanicked}
 	c.inflight[key] = f
 	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		delete(c.inflight, key)
+		if f.err == nil {
+			c.items.Add(key, f.val)
+		}
+		c.mu.Unlock()
+		close(f.done)
+	}()
 
-	f.val, f.err = compute()
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if f.err == nil {
-		c.items.Add(key, f.val)
-	}
-	c.mu.Unlock()
-	close(f.done)
+	f.val, f.err = compute() // a panic skips the assignment, leaving errComputePanicked
 	return f.val, false, f.err
 }
 
@@ -101,51 +102,10 @@ func (c *Cache) Len() int {
 	return c.items.Len()
 }
 
-// Purge drops every cached artifact and pooled job clone (in-flight
-// computations are unaffected and will insert their results
-// afterwards).
+// Purge drops every cached artifact (in-flight computations are
+// unaffected and will insert their results afterwards).
 func (c *Cache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.items.Purge()
-	c.jobPool = make(map[string][][]*job.Job)
-}
-
-// maxPooledClones bounds the recycled clones kept per jobs key: enough
-// for a parallel sweep's worker fleet, small enough that an engine
-// cycling through many points cannot hoard memory.
-const maxPooledClones = 16
-
-// acquireJobs returns a run-private clone of the cached master slice,
-// recycling a released clone when one is pooled under key. A recycled
-// clone's structs are re-initialised from the master wholesale, so
-// mutations by the previous run's simulator cannot leak into the next.
-func (c *Cache) acquireJobs(key string, master []*job.Job) []*job.Job {
-	var out []*job.Job
-	c.mu.Lock()
-	if pool := c.jobPool[key]; len(pool) > 0 {
-		out = pool[len(pool)-1]
-		c.jobPool[key] = pool[:len(pool)-1]
-	}
-	c.mu.Unlock()
-	if len(out) != len(master) {
-		return cloneJobs(master)
-	}
-	for i, j := range master {
-		*out[i] = *j
-	}
-	return out
-}
-
-// releaseJobs returns a clone to the pool for key. Pool depth is
-// bounded; overflow clones are simply dropped for the GC.
-func (c *Cache) releaseJobs(key string, jobs []*job.Job) {
-	if key == "" || len(jobs) == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.jobPool[key]) < maxPooledClones {
-		c.jobPool[key] = append(c.jobPool[key], jobs)
-	}
 }

@@ -116,8 +116,8 @@ type RunConfig struct {
 	CheckpointRestart    float64
 
 	// Finder selects the free-partition search algorithm by name
-	// (partition.ByName): "naive", "pop", "shape" (default), "fast"
-	// (the cached fast path) or "anneal" (the communication-aware
+	// (partition.ByName): "naive", "pop", "shape" (default; "fast" is
+	// another name for it) or "anneal" (the communication-aware
 	// annealing placer). Every algorithm returns identical candidate
 	// sets; all but "anneal" also make identical choices, so for them
 	// this knob changes scheduling cost only, never scheduling
@@ -195,22 +195,33 @@ func (c RunConfig) Canonical() RunConfig {
 	return c
 }
 
+// maxFailureCount bounds the failures one run may inject: a 16 MB
+// trace, about 100x the 10 051 that SDSC injects at the service's
+// 20 000-job cap and nominal 4000. A larger count would make the
+// generator allocate gigabytes, and one past the int range would wrap
+// to a negative count.
+const maxFailureCount = 1_000_000
+
 // ScaledFailureCount maps a paper-axis nominal failure count onto the
 // synthetic span (seconds). A positive override bypasses the density
-// mapping: injected = round(nominal * override).
-func ScaledFailureCount(nominal int, override float64, spanSeconds float64) int {
+// mapping: injected = round(nominal * override). A count that is not
+// finite or exceeds maxFailureCount is refused with an error.
+func ScaledFailureCount(nominal int, override float64, spanSeconds float64) (int, error) {
 	if nominal <= 0 {
-		return 0
+		return 0, nil
 	}
+	var count float64
 	if override > 0 {
-		return int(math.Round(float64(nominal) * override))
+		count = math.Round(float64(nominal) * override)
+	} else {
+		days := spanSeconds / 86400
+		count = math.Max(1, math.Round(float64(nominal)/100*DefaultFailuresPerDay*days))
 	}
-	days := spanSeconds / 86400
-	count := float64(nominal) / 100 * DefaultFailuresPerDay * days
-	if count < 1 {
-		return 1
+	if !(count <= maxFailureCount) { // also refuses NaN
+		return 0, fmt.Errorf("build: nominal %d failures scale to %g injected, above the limit of %d",
+			nominal, count, maxFailureCount)
 	}
-	return int(math.Round(count))
+	return int(count), nil
 }
 
 // buildPolicy assembles the placement policy for the run. The failure

@@ -19,26 +19,46 @@ func TestQueueDrainSlack(t *testing.T) {
 
 func TestScaledFailureCount(t *testing.T) {
 	day := 86400.0
-	if got := ScaledFailureCount(0, 0, 10*day); got != 0 {
-		t.Fatalf("nominal 0 -> %d", got)
+	cases := []struct {
+		name           string
+		nominal        int
+		override, span float64
+		want           int
+	}{
+		{"nominal 0", 0, 0, 10 * day, 0},
+		{"negative nominal", -5, 0, 10 * day, 0},
+		// nominal 100 -> DefaultFailuresPerDay per day.
+		{"nominal 100 over 10 days", 100, 0, 10 * day, 10},
+		{"nominal 4000 over 10 days", 4000, 0, 10 * day, 400},
+		// Tiny spans still inject at least one failure.
+		{"tiny span", 100, 0, 60, 1},
+		// Override bypasses the density mapping.
+		{"override", 100, 2.5, 10 * day, 250},
 	}
-	if got := ScaledFailureCount(-5, 0, 10*day); got != 0 {
-		t.Fatalf("negative nominal -> %d", got)
+	for _, tc := range cases {
+		if got, err := ScaledFailureCount(tc.nominal, tc.override, tc.span); err != nil || got != tc.want {
+			t.Errorf("%s: ScaledFailureCount = %d, %v; want %d", tc.name, got, err, tc.want)
+		}
 	}
-	// nominal 100 -> DefaultFailuresPerDay per day.
-	if got := ScaledFailureCount(100, 0, 10*day); got != 10 {
-		t.Fatalf("nominal 100 over 10 days -> %d, want 10", got)
+}
+
+// TestScaledFailureCountRefusesAbsurdCounts: a count above the limit is
+// refused, not generated. Scale 1e12 at nominal 100 made the generator
+// panic, and 1e17 wrapped the int conversion negative, so the run
+// silently injected no failures. Build refuses both before generating
+// a trace.
+func TestScaledFailureCountRefusesAbsurdCounts(t *testing.T) {
+	for _, scale := range []float64{1e12, 1e17} {
+		if got, err := ScaledFailureCount(100, scale, 86400); err == nil {
+			t.Errorf("scale %g: ScaledFailureCount = %d, want an error", scale, got)
+		}
+		cfg := RunConfig{Workload: "SDSC", JobCount: 5, FailureNominal: 100, FailureScale: scale}
+		if _, _, err := (&Builder{Cache: NewCache(0)}).Build(cfg); err == nil {
+			t.Errorf("scale %g: Build succeeded, want an error", scale)
+		}
 	}
-	if got := ScaledFailureCount(4000, 0, 10*day); got != 400 {
-		t.Fatalf("nominal 4000 over 10 days -> %d, want 400", got)
-	}
-	// Tiny spans still inject at least one failure.
-	if got := ScaledFailureCount(100, 0, 60); got != 1 {
-		t.Fatalf("tiny span -> %d, want 1", got)
-	}
-	// Override bypasses the density mapping.
-	if got := ScaledFailureCount(100, 2.5, 10*day); got != 250 {
-		t.Fatalf("override -> %d, want 250", got)
+	if got, err := ScaledFailureCount(100, maxFailureCount/100, 86400); err != nil || got != maxFailureCount {
+		t.Errorf("count at the limit: %d, %v; want %d", got, err, maxFailureCount)
 	}
 }
 

@@ -479,8 +479,12 @@ func (s *Scheduler) reservedPart() (torus.Partition, error) {
 		if err != nil {
 			return torus.Partition{}, fmt.Errorf("core: reservation policy %s: %w", s.cfg.Policy.Name(), err)
 		}
-		if idx < 0 || idx >= len(cands) {
-			idx = 0
+		if idx >= len(cands) {
+			return torus.Partition{}, fmt.Errorf("core: policy %s chose index %d of %d candidates",
+				s.cfg.Policy.Name(), idx, len(cands))
+		}
+		if idx < 0 {
+			idx = 0 // a reservation must hold some partition
 		}
 		m.part, m.chosen = cands[idx], true
 	}

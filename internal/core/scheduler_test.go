@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"bgsched/internal/failure"
@@ -220,6 +221,67 @@ func TestScheduleEASYDisjointBackfill(t *testing.T) {
 		if c.Z < 2 {
 			t.Fatalf("backfill touched the reserved slab at %v", c)
 		}
+	}
+}
+
+// badIndexPolicy answers one index past its candidates on the live
+// grid (onLive) or on any other grid — the EASY reservation's scratch
+// grid — and the first candidate elsewhere.
+type badIndexPolicy struct {
+	live   *torus.Grid
+	onLive bool
+}
+
+func (badIndexPolicy) Name() string { return "badindex" }
+func (p badIndexPolicy) Choose(ctx *PlacementContext, cands []torus.Partition) (int, error) {
+	if (ctx.Grid == p.live) == p.onLive {
+		return len(cands), nil
+	}
+	return 0, nil
+}
+
+// TestSchedulePolicyIndexOutOfRange: an index past the candidates is an
+// error wherever the policy chooses — starting a job, backfilling one,
+// or choosing the EASY reservation's partition for a backfill that must
+// avoid it — never a silent substitute.
+func TestSchedulePolicyIndexOutOfRange(t *testing.T) {
+	g := torus.BlueGeneL()
+	slab := torus.Partition{Shape: torus.Shape{X: 4, Y: 4, Z: 2}}
+	cases := []struct {
+		name   string
+		onLive bool
+		queue  []*job.Job
+	}{
+		{"start", true, []*job.Job{testJob(6, 8, 1000)}},
+		// The head (32 nodes) fits only in the running slab, at t=100;
+		// the long job fits now, in the z=7 plane.
+		{"backfill", true, []*job.Job{testJob(5, 32, 1000), testJob(6, 8, 1000)}},
+		{"reservation", false, []*job.Job{testJob(5, 32, 1000), testJob(6, 8, 1000)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			gr := torus.NewGrid(g)
+			if err := gr.Allocate(torus.Partition{Base: torus.Coord{Z: 2}, Shape: torus.Shape{X: 4, Y: 4, Z: 5}}, 98); err != nil {
+				t.Fatal(err)
+			}
+			runningJob := testJob(50, 32, 100)
+			if err := gr.Allocate(slab, int64(runningJob.ID)); err != nil {
+				t.Fatal(err)
+			}
+			running := []Running{{Job: runningJob, Part: slab, Start: 0, ExpFinish: 100}}
+			q := job.NewQueue()
+			for _, j := range tc.queue {
+				q.Push(j)
+			}
+			s, err := NewScheduler(Config{Policy: badIndexPolicy{live: gr, onLive: tc.onLive}, Backfill: BackfillEASY})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds, err := s.Schedule(gr, q, running, 0)
+			if err == nil || !strings.Contains(err.Error(), "chose index") {
+				t.Fatalf("Schedule = %v, %v; want the out-of-range index refused", ds, err)
+			}
+		})
 	}
 }
 

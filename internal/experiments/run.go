@@ -76,7 +76,7 @@ func Run(cfg RunConfig) (sim.Result, error) {
 // runs over a shared sub-config reuse the synthesized workload, the
 // failure trace and the failure index.
 func RunContext(ctx context.Context, cfg RunConfig) (sim.Result, error) {
-	sc, art, err := build.Default(cfg)
+	sc, _, err := build.Default(cfg)
 	if err != nil {
 		return sim.Result{}, err
 	}
@@ -84,13 +84,5 @@ func RunContext(ctx context.Context, cfg RunConfig) (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, err
 	}
-	res, err := s.RunContext(ctx)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	// The run is over and the result carries no job pointers (Outcomes
-	// are values), so the job-slice clone can go back to the build
-	// cache's pool for the next run of this workload point.
-	art.ReleaseJobs()
-	return res, nil
+	return s.RunContext(ctx)
 }

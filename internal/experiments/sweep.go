@@ -58,8 +58,9 @@ type Engine struct {
 	// every point of the sweep.
 	CheckInvariants bool
 	// Finder selects the free-partition search algorithm for every
-	// point of the sweep (see RunConfig.Finder); empty keeps each
-	// point's own setting (normally the shape default).
+	// point of the sweep by RunConfig.Finder's names ("fast" is another
+	// name for "shape"); empty keeps each point's own setting (normally
+	// the shape default).
 	Finder string
 	// AnnealSeed seeds the "anneal" finder's placement search for every
 	// point of the sweep (RunConfig.AnnealSeed); 0 keeps each point's

@@ -18,8 +18,8 @@ type Placer interface {
 	Place(gr *torus.Grid, cands []torus.Partition) int
 }
 
-// AnnealFinder is the fifth finder algorithm: candidate enumeration is
-// delegated to an embedded FastFinder (so the returned set is
+// AnnealFinder is the fourth finder algorithm: candidate enumeration is
+// delegated to an embedded ShapeFinder (so the returned set is
 // byte-identical to every other finder, and the differential oracle
 // holds), while placement among those candidates is a seeded
 // simulated-annealing search for the minimal PlacementScore, per Lan et
@@ -31,7 +31,7 @@ type Placer interface {
 // byte-reproducible for a given machine state regardless of call
 // interleaving, snapshot/restore, or parallelism.
 type AnnealFinder struct {
-	inner *FastFinder
+	inner ShapeFinder
 	seed  int64
 }
 
@@ -42,7 +42,7 @@ const annealSteps = 48
 // NewAnnealFinder builds the annealing finder. seed steers the
 // stochastic placement search (same seed = same placements).
 func NewAnnealFinder(seed int64) *AnnealFinder {
-	return &AnnealFinder{inner: NewFastFinder(), seed: seed}
+	return &AnnealFinder{seed: seed}
 }
 
 // Name identifies the algorithm.
@@ -52,7 +52,7 @@ func (f *AnnealFinder) Name() string { return "anneal" }
 func (f *AnnealFinder) Seed() int64 { return f.seed }
 
 // FreeOfSize returns every free partition of exactly size nodes —
-// delegated unchanged to the embedded fast finder, so the set, order
+// delegated unchanged to the embedded shape finder, so the set, order
 // and canonicalisation are identical to every other finder's.
 func (f *AnnealFinder) FreeOfSize(gr *torus.Grid, size int) []torus.Partition {
 	return f.inner.FreeOfSize(gr, size)

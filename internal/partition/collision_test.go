@@ -2,7 +2,6 @@ package partition_test
 
 import (
 	"math/bits"
-	"reflect"
 	"testing"
 
 	"bgsched/internal/partition"
@@ -60,9 +59,8 @@ func dependentNodes(t *testing.T, g torus.Geometry, ids []int) []int {
 
 // TestMemosNeverAnswerForACollidingState: 65 keys of 64 bits are
 // dependent, so some busy node set of the 4x4x8 torus hashes like the
-// empty grid. After answering for the empty grid, both memos must
-// answer that grid for itself, exactly as the unmemoized MaxFree and
-// ShapeFinder do.
+// empty grid. After answering for the empty grid, the MFP memo must
+// answer that grid for itself, exactly as the unmemoized MaxFree does.
 func TestMemosNeverAnswerForACollidingState(t *testing.T) {
 	g := torus.BlueGeneL()
 	ids := make([]int, 65)
@@ -84,56 +82,5 @@ func TestMemosNeverAnswerForACollidingState(t *testing.T) {
 	_, want := partition.MaxFree(busy)
 	if _, got := mfp.MaxFree(busy); got != want {
 		t.Errorf("MFPCache.MaxFree = %d on the colliding grid, MaxFree = %d", got, want)
-	}
-
-	fast := partition.NewFastFinder()
-	for _, size := range []int{1, 8, g.N()} {
-		fast.FreeOfSize(empty, size)
-		want := partition.ShapeFinder{}.FreeOfSize(busy, size)
-		if got := fast.FreeOfSize(busy, size); !reflect.DeepEqual(got, want) {
-			t.Errorf("FastFinder.FreeOfSize(%d) on the colliding grid: %d candidates, ShapeFinder %d",
-				size, len(got), len(want))
-		}
-	}
-}
-
-// TestFastFinderNeverKeepsAStaleColumn: on a machine with 64-node
-// z-columns, some node set inside one column hashes to zero. Making it
-// busy — by allocation, or by CopyFrom onto a scratch grid — changes
-// that column while leaving every hash as it was, and the fast finder
-// must still see the change in its derived per-column state.
-func TestFastFinderNeverKeepsAStaleColumn(t *testing.T) {
-	g := torus.NewGeometry(2, 2, 64, true)
-	var set []int
-	for col := 0; col < 4 && set == nil; col++ {
-		ids := make([]int, 64)
-		for z := range ids {
-			ids[z] = col*64 + z
-		}
-		set = dependentNodes(t, g, ids)
-	}
-	if set == nil {
-		t.Fatal("no column holds a colliding node set")
-	}
-	busy := torus.NewGrid(g)
-	allocNodes(t, busy, set)
-	want := partition.ShapeFinder{}.FreeOfSize(busy, 1)
-
-	gr := torus.NewGrid(g)
-	fast := partition.NewFastFinder()
-	fast.FreeOfSize(gr, 1)
-	allocNodes(t, gr, set)
-	if got := fast.FreeOfSize(gr, 1); !reflect.DeepEqual(got, want) {
-		t.Errorf("after allocating %d colliding nodes: %d candidates, ShapeFinder %d", len(set), len(got), len(want))
-	}
-
-	scratch := torus.NewGrid(g)
-	fast = partition.NewFastFinder()
-	fast.FreeOfSize(scratch, 1)
-	if err := scratch.CopyFrom(busy); err != nil {
-		t.Fatal(err)
-	}
-	if got := fast.FreeOfSize(scratch, 1); !reflect.DeepEqual(got, want) {
-		t.Errorf("after CopyFrom of %d colliding nodes: %d candidates, ShapeFinder %d", len(set), len(got), len(want))
 	}
 }

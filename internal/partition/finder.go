@@ -50,24 +50,24 @@ type BufferedFinder interface {
 	FreeOfSizeInto(gr *torus.Grid, size int, buf []torus.Partition) []torus.Partition
 }
 
-// Names lists the selectable finder algorithms in ByName order.
+// Names lists the selectable finder names in ByName order. "fast" is
+// another name for "shape", kept so configs, journals and snapshots
+// that name it still run.
 var Names = []string{"naive", "pop", "shape", "fast", "anneal"}
 
 // ByName constructs the named finder algorithm: "naive", "pop",
-// "shape" (also the default for an empty name), "fast" or "anneal".
-// seed steers the anneal finder's placement search; the other
-// algorithms are deterministic and ignore it. An unknown name is
-// rejected with the registered names listed.
+// "shape" (also for an empty name and for "fast") or "anneal". seed
+// steers the anneal finder's placement search; the other algorithms
+// are deterministic and ignore it. An unknown name is rejected with
+// the registered names listed.
 func ByName(name string, seed int64) (Finder, error) {
 	switch name {
-	case "", "shape":
+	case "", "shape", "fast":
 		return ShapeFinder{}, nil
 	case "naive":
 		return NaiveFinder{}, nil
 	case "pop":
 		return POPFinder{}, nil
-	case "fast":
-		return NewFastFinder(), nil
 	case "anneal":
 		return NewAnnealFinder(seed), nil
 	}

@@ -16,11 +16,6 @@ import (
 //	early_rejects   bases discarded before the full footprint check
 //	no_shape_exits  calls that terminated early with no legal shape
 //	seconds         wall time per call
-//
-// The fast finder additionally reports its cache behaviour:
-//
-//	cache_hits    queries answered from the memoized result cache
-//	cache_misses  queries that had to enumerate
 type Metrics struct {
 	Calls        *telemetry.Counter
 	Candidates   *telemetry.Histogram
@@ -28,21 +23,16 @@ type Metrics struct {
 	EarlyRejects *telemetry.Counter
 	NoShapeExits *telemetry.Counter
 	Seconds      *telemetry.Timer
-
-	CacheHits   *telemetry.Counter
-	CacheMisses *telemetry.Counter
 }
 
 // NewMetrics resolves the instruments for one algorithm. Returns nil
-// (collection disabled) on a nil registry. The cache instruments are
-// resolved only for the "fast" algorithm; they stay nil (no-op) for
-// the cacheless finders so snapshots do not grow dead series.
+// (collection disabled) on a nil registry.
 func NewMetrics(reg *telemetry.Registry, algo string) *Metrics {
 	if reg == nil {
 		return nil
 	}
 	prefix := "finder." + algo + "."
-	m := &Metrics{
+	return &Metrics{
 		Calls:        reg.Counter(prefix + "calls"),
 		Candidates:   reg.Histogram(prefix + "candidates"),
 		BasesScanned: reg.Counter(prefix + "bases_scanned"),
@@ -50,11 +40,6 @@ func NewMetrics(reg *telemetry.Registry, algo string) *Metrics {
 		NoShapeExits: reg.Counter(prefix + "no_shape_exits"),
 		Seconds:      reg.Timer(prefix + "seconds"),
 	}
-	if algo == "fast" {
-		m.CacheHits = reg.Counter(prefix + "cache_hits")
-		m.CacheMisses = reg.Counter(prefix + "cache_misses")
-	}
-	return m
 }
 
 // startTimer begins the per-call timing; safe on nil.
@@ -90,26 +75,9 @@ func (m *Metrics) noShapes(sw telemetry.Stopwatch) {
 	m.NoShapeExits.Inc()
 }
 
-// cacheHit records a query answered from the memoized cache; safe on
-// nil.
-func (m *Metrics) cacheHit() {
-	if m == nil {
-		return
-	}
-	m.CacheHits.Inc()
-}
-
-// cacheMiss records a query that had to enumerate; safe on nil.
-func (m *Metrics) cacheMiss() {
-	if m == nil {
-		return
-	}
-	m.CacheMisses.Inc()
-}
-
 // Instrumented wires reg into a copy of each known finder kind (in
-// place for the stateful fast finder); other Finder implementations
-// pass through unchanged. It is the one-liner CLIs and the experiments
+// place for the annealing finder); other Finder implementations pass
+// through unchanged. It is the one-liner CLIs and the experiments
 // harness use to attach search-cost telemetry without caring which
 // algorithm is configured.
 func Instrumented(f Finder, reg *telemetry.Registry) Finder {
@@ -124,9 +92,6 @@ func Instrumented(f Finder, reg *telemetry.Registry) Finder {
 		ff.Metrics = NewMetrics(reg, ff.Name())
 		return ff
 	case ShapeFinder:
-		ff.Metrics = NewMetrics(reg, ff.Name())
-		return ff
-	case *FastFinder:
 		ff.Metrics = NewMetrics(reg, ff.Name())
 		return ff
 	case *AnnealFinder:

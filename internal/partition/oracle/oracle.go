@@ -1,8 +1,8 @@
 // Package oracle is the differential-testing harness for the
 // free-partition finders: it replays allocate/free/query operation
 // sequences against every finder algorithm simultaneously — naive
-// exhaustive, POP projection, shape enumeration and the cached fast
-// path — and fails on any divergence in feasibility (one algorithm
+// exhaustive, POP projection, shape enumeration and the annealing
+// finder — and fails on any divergence in feasibility (one algorithm
 // finds candidates another does not), candidate sets, per-candidate
 // validity (rectangular, fully free, exactly the requested size), the
 // maximal-free-partition size, or the MFP cache's probe of a placement.
@@ -10,8 +10,9 @@
 // The paper's finders are pure functions of the occupancy grid, which
 // makes exact differential testing possible: FreEPARTS is a defined
 // set, so any two correct algorithms must return identical, sorted,
-// canonicalised slices. The oracle is what lets the optimized fast
-// path ship with proof it never diverges from the O(M^9) reference.
+// canonicalised slices. The oracle is what lets the optimized shape
+// enumeration ship with proof it never diverges from the O(M^9)
+// reference.
 //
 // Operations are plain values, so sequences come from three sources:
 // RandomOps (seeded generators for the randomized regression suite),
@@ -88,14 +89,13 @@ func (o Op) String() string {
 }
 
 // DefaultFinders returns the full algorithm set under test: the three
-// scan finders, the fast path and the annealing finder.
+// scan finders and the annealing finder.
 func DefaultFinders() []partition.Finder {
 	return []partition.Finder{
 		partition.NaiveFinder{},
 		partition.POPFinder{},
 		partition.ShapeFinder{},
-		partition.NewFastFinder(),
-		// The annealing finder delegates enumeration to an embedded fast
+		// The annealing finder delegates enumeration to an embedded shape
 		// finder; riding in the oracle set proves its candidate sets stay
 		// byte-identical (including across the OpSnapshot identity swap)
 		// — only its placement preference differs, and that is outside

@@ -245,8 +245,7 @@ func TestDumpGridShape(t *testing.T) {
 // TestOracleSnapshotMidSequence pins the OpSnapshot semantics: a
 // sequence that allocates, snapshots (owner-map round-trip plus grid
 // swap), then keeps mutating and querying must replay divergence-free
-// against every finder — including the cached fast path, whose state
-// must not survive the identity change a restore implies.
+// against every finder, across the identity change a restore implies.
 func TestOracleSnapshotMidSequence(t *testing.T) {
 	g := torus.NewGeometry(3, 3, 4, true)
 	n := g.N()

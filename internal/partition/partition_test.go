@@ -5,15 +5,15 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"bgsched/internal/torus"
 )
 
 // finders lists every algorithm; the agreement tests below replay each
-// grid against all of them, so the fast finder's cache path faces the
-// same scrutiny as the scan-based finders.
-var finders = []Finder{NaiveFinder{}, POPFinder{}, ShapeFinder{}, NewFastFinder(), NewAnnealFinder(1)}
+// grid against all of them.
+var finders = []Finder{NaiveFinder{}, POPFinder{}, ShapeFinder{}, NewAnnealFinder(1)}
 
 func randomGrid(t *testing.T, g torus.Geometry, fillProb float64, seed int64) *torus.Grid {
 	t.Helper()
@@ -203,6 +203,44 @@ func TestFreeOfSizeIntoMatchesFreeOfSize(t *testing.T) {
 	}
 }
 
+// TestShapeFinderConcurrentQueries hammers one shape finder from many
+// goroutines over several grids; run under -race this is the
+// concurrency guard for the shared enumeration scratch.
+func TestShapeFinderConcurrentQueries(t *testing.T) {
+	g := torus.BlueGeneL()
+	grids := []*torus.Grid{
+		randomGrid(t, g, 0.0, 1),
+		randomGrid(t, g, 0.3, 2),
+		randomGrid(t, g, 0.6, 3),
+	}
+	want := make([][]torus.Partition, len(grids))
+	for i, gr := range grids {
+		want[i] = ShapeFinder{}.FreeOfSize(gr, 8)
+	}
+	var f ShapeFinder
+	var wg sync.WaitGroup
+	errs := make(chan string, 64)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for iter := 0; iter < 50; iter++ {
+				i := rng.Intn(len(grids))
+				if got := f.FreeOfSize(grids[i], 8); !reflect.DeepEqual(got, want[i]) {
+					errs <- "concurrent query diverged"
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Fatal(msg)
+	}
+}
+
 // edgeGeometries are the shapes at the edges of the MFP sweep's row
 // layout (one Y-bit word per x and z): rows that fill their word
 // (Y = 64), one-wide planes and a single plane (Z = 1).
@@ -353,8 +391,8 @@ func TestFinderNames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
 		}
-		if f.Name() != name {
-			t.Fatalf("ByName(%q).Name() = %q", name, f.Name())
+		if f.Name() != finderName(name) {
+			t.Fatalf("ByName(%q).Name() = %q, want %q", name, f.Name(), finderName(name))
 		}
 	}
 	if f, err := ByName("", 0); err != nil || f.Name() != "shape" {
@@ -373,17 +411,26 @@ func TestFinderNames(t *testing.T) {
 	}
 }
 
+// finderName is the name the finder ByName(name) reports: "fast" is
+// another name for the shape finder.
+func finderName(name string) string {
+	if name == "fast" {
+		return "shape"
+	}
+	return name
+}
+
 // TestByNameRoundTrip covers every registered name: construction
-// succeeds, the finder reports the same name back, and the seed is
-// threaded into the annealer.
+// succeeds, the finder reports its algorithm's name back, and the seed
+// is threaded into the annealer.
 func TestByNameRoundTrip(t *testing.T) {
 	for _, name := range Names {
 		f, err := ByName(name, 42)
 		if err != nil {
 			t.Fatalf("ByName(%q, 42): %v", name, err)
 		}
-		if f.Name() != name {
-			t.Fatalf("ByName(%q).Name() = %q", name, f.Name())
+		if f.Name() != finderName(name) {
+			t.Fatalf("ByName(%q).Name() = %q, want %q", name, f.Name(), finderName(name))
 		}
 		if af, ok := f.(*AnnealFinder); ok && af.Seed() != 42 {
 			t.Fatalf("anneal finder seed = %d, want 42", af.Seed())

@@ -185,14 +185,12 @@ func partitionLessTest(a, b torus.Partition) bool {
 	return a.Base.Z < b.Base.Z
 }
 
-// propertyFinders builds a fresh finder set per run so the fast
-// finder's cache state cannot couple test cases.
+// propertyFinders is the finder set the property checks run against.
 func propertyFinders() []partition.Finder {
 	return []partition.Finder{
 		partition.NaiveFinder{},
 		partition.POPFinder{},
 		partition.ShapeFinder{},
-		partition.NewFastFinder(),
 	}
 }
 

@@ -1,6 +1,9 @@
 package torus
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // FreeOwner is the owner value of an unallocated node.
 const FreeOwner int64 = 0
@@ -8,16 +11,11 @@ const FreeOwner int64 = 0
 // Grid is the occupancy map of the machine: which job (by opaque int64
 // owner id) holds each node. Owner ids must be non-zero.
 //
-// Alongside the raw owner array the grid maintains two incremental
-// occupancy summaries, updated in O(1) per node on every allocate and
-// release (so O(partition volume) per operation):
-//
-//   - the exact free/busy pattern as a bitset, the key of memos that
-//     must never answer for another state and, one z-column per word
-//     (ColumnBits), the input of the partition kernels;
-//   - a Zobrist-style occupancy hash of the free/busy pattern, which
-//     caching partition finders use as a slot index (an allocate
-//     followed by the matching release restores it).
+// Alongside the raw owner array the grid maintains the exact free/busy
+// pattern as a bitset, updated in O(1) per node on every allocate and
+// release (so O(partition volume) per operation). It is the key of
+// memos that must never answer for another state and, one z-column per
+// word (ColumnBits), the input of the partition kernels.
 //
 // Grid is not safe for concurrent use; the simulator is single-threaded
 // by design (a discrete-event loop), and experiment-level parallelism
@@ -28,7 +26,6 @@ type Grid struct {
 	freeCount int
 
 	busy []uint64 // busy bitset: bit id%64 of word id/64 set iff node id is allocated
-	hash uint64   // occupancy hash of the free/busy pattern
 }
 
 // NewGrid returns an empty occupancy grid for the machine.
@@ -63,12 +60,20 @@ func (gr *Grid) OwnerAt(id int) int64 { return gr.owner[id] }
 func (gr *Grid) Occupancy() []uint64 { return gr.busy }
 
 // OccupancyHash returns a 64-bit hash of the grid's free/busy pattern
-// (owner identities do not contribute). It is maintained incrementally:
-// flipping a node XORs a fixed per-node key, so any sequence of
-// operations that restores the occupancy pattern restores the hash.
-// Distinct patterns can share a hash, so it serves as a slot index,
-// never as proof that two states are equal.
-func (gr *Grid) OccupancyHash() uint64 { return gr.hash }
+// (owner identities do not contribute): the XOR of a fixed per-node key
+// over the busy nodes, so equal patterns hash equally on any grid of
+// the same geometry. It is computed on each call, in O(busy nodes).
+// Distinct patterns can share a hash, so it serves as a seed, never as
+// proof that two states are equal.
+func (gr *Grid) OccupancyHash() uint64 {
+	var h uint64
+	for w, word := range gr.busy {
+		for ; word != 0; word &= word - 1 {
+			h ^= nodeKey(w<<6 | bits.TrailingZeros64(word))
+		}
+	}
+	return h
+}
 
 // ColumnBits returns the busy pattern of z-column col, the nodes
 // col*Z .. col*Z+Z-1 (x = col/Y, y = col%Y): bit z is set iff node
@@ -79,16 +84,15 @@ func (gr *Grid) ColumnBits(col int) uint64 {
 	dz := gr.geom.Dims.Z
 	start := col * dz
 	w, off := start>>6, start&63
-	bits := gr.busy[w] >> off
+	word := gr.busy[w] >> off
 	if off+dz > 64 {
-		bits |= gr.busy[w+1] << (64 - off)
+		word |= gr.busy[w+1] << (64 - off)
 	}
-	return bits & (1<<dz - 1) // 1<<64 is 0: a 64-node column keeps every bit
+	return word & (1<<dz - 1) // 1<<64 is 0: a 64-node column keeps every bit
 }
 
 // nodeKey is the fixed Zobrist key of a node: a splitmix64 step over
-// the dense id. Deterministic across grids so equal occupancy patterns
-// hash equally on any grid of the same geometry.
+// the dense id.
 func nodeKey(id int) uint64 {
 	z := uint64(id) + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -96,11 +100,10 @@ func nodeKey(id int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// flip maintains the incremental summaries for one node changing
-// between free and busy.
+// flip maintains the busy bitset for one node changing between free
+// and busy.
 func (gr *Grid) flip(id int) {
 	gr.busy[id>>6] ^= 1 << (id & 63)
-	gr.hash ^= nodeKey(id)
 }
 
 // PartitionFree reports whether every node of p is unallocated.
@@ -167,7 +170,6 @@ func (gr *Grid) Clone() *Grid {
 		owner:     append([]int64(nil), gr.owner...),
 		freeCount: gr.freeCount,
 		busy:      append([]uint64(nil), gr.busy...),
-		hash:      gr.hash,
 	}
 }
 
@@ -181,14 +183,13 @@ func (gr *Grid) CopyFrom(src *Grid) error {
 	copy(gr.owner, src.owner)
 	copy(gr.busy, src.busy)
 	gr.freeCount = src.freeCount
-	gr.hash = src.hash
 	return nil
 }
 
 // Owners returns a copy of the raw owner array, one owner id per dense
 // node id (FreeOwner for unallocated nodes). It is the grid's complete
-// source-of-truth state: every incremental summary — free count,
-// occupancy bitset and hash — is derived from it, which is what makes
+// source-of-truth state: every incremental summary — free count and
+// occupancy bitset — is derived from it, which is what makes
 // NewGridFromOwners an exact restore.
 func (gr *Grid) Owners() []int64 {
 	return append([]int64(nil), gr.owner...)
@@ -196,8 +197,8 @@ func (gr *Grid) Owners() []int64 {
 
 // NewGridFromOwners reconstructs a grid of geometry g from a serialized
 // owner array, rebuilding every incremental summary from scratch. The
-// occupancy bitset and hash, being pure functions of the free/busy
-// pattern, come out equal to the original's.
+// occupancy bitset, being a pure function of the free/busy pattern,
+// comes out equal to the original's.
 func NewGridFromOwners(g Geometry, owners []int64) (*Grid, error) {
 	if len(owners) != g.N() {
 		return nil, fmt.Errorf("torus: owner array has %d entries, geometry %s has %d nodes",

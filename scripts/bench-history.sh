@@ -25,12 +25,12 @@ trap 'rm -f "$out"' EXIT
 echo "bench-history: running tracked benchmarks (-benchtime $benchtime)" >&2
 
 # The tracked set deliberately spans the hot layers: the staged run
-# builder (cold vs warm artifact cache), the fast partition finder, the
-# end-to-end scheduler decision loop, and the communication-aware
-# placement path (annealing search + pairwise contention charge).
+# builder (cold vs warm artifact cache), the end-to-end scheduler
+# decision loop, and the communication-aware placement path (annealing
+# search + pairwise contention charge).
 go test -run '^$' -bench 'BenchmarkRunBuildColdVsWarm' \
     -benchtime "$benchtime" ./internal/build/ >>"$out"
-go test -run '^$' -bench 'BenchmarkFastFinder|BenchmarkSchedulerDecision|BenchmarkAnnealFinder|BenchmarkContentionCharge' \
+go test -run '^$' -bench 'BenchmarkSchedulerDecision|BenchmarkAnnealFinder|BenchmarkContentionCharge' \
     -benchtime "$benchtime" . >>"$out"
 go test -run '^$' -bench 'BenchmarkKernelSteadyState' \
     -benchtime "$kernel_benchtime" -benchmem . >>"$out"
