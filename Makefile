@@ -19,8 +19,9 @@ vet:
 	$(GO) vet ./...
 
 # Short fuzzing smoke over the trace parsers, the partition-finder
-# differential oracle and the scheduler-memo exactness oracle;
-# CI-friendly budget.
+# differential oracle, the scheduler-memo exactness oracle and the run
+# request path (decode, validate, build, bounded run); CI-friendly
+# budget.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzReadSWF -fuzztime $(FUZZTIME) ./internal/workload
@@ -28,6 +29,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzFinderEquivalence -fuzztime $(FUZZTIME) ./internal/partition/oracle
 	$(GO) test -run NONE -fuzz FuzzSnapshotRoundTrip -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run NONE -fuzz FuzzScheduleMatchesFreshScheduler -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run NONE -fuzz FuzzRunConfigGate -fuzztime $(FUZZTIME) ./internal/build
 
 # The scheduling-simulation service on :8080 (override: make serve
 # SERVE_FLAGS="-addr :9090 -state runs.jsonl").

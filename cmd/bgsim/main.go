@@ -20,7 +20,6 @@ import (
 
 	"time"
 
-	"bgsched/internal/contention"
 	"bgsched/internal/core"
 	"bgsched/internal/experiments"
 	"bgsched/internal/metrics"
@@ -91,30 +90,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *a < 0 || *a > 1 {
-		return fmt.Errorf("-a must be in [0, 1], got %g (run with -h for usage)", *a)
-	}
-	if *branchA > 1 {
-		return fmt.Errorf("-branch-a must be in [0, 1], got %g (run with -h for usage)", *branchA)
-	}
-	if *annealSeed < 0 {
-		return fmt.Errorf("-anneal-seed must be non-negative, got %d (run with -h for usage)", *annealSeed)
-	}
-	// Validate the contention preset up front so a typo fails before the
-	// build pipeline runs; the error lists the registered levels.
-	if _, err := contention.FromLevel(*cont); err != nil {
-		return err
-	}
-	stopProfiles, err := obs.Start()
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProfiles(); perr != nil {
-			fmt.Fprintln(os.Stderr, "bgsim:", perr)
-		}
-	}()
-
 	cfg := experiments.RunConfig{
 		Machine:        *machine,
 		Workload:       *wl,
@@ -141,6 +116,53 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		RecordTimeline:  *timeline > 0,
 		CheckInvariants: *check,
 	}
+	switch *combine {
+	case "independent":
+	case "max":
+		cfg.CombineMax = true
+	default:
+		return fmt.Errorf("unknown combiner %q", *combine)
+	}
+	switch *backfill {
+	case "easy":
+		cfg.Backfill = core.BackfillEASY
+	case "aggressive":
+		cfg.Backfill = core.BackfillAggressive
+	case "none":
+		cfg.BackfillStrict = true
+	default:
+		return fmt.Errorf("unknown backfill mode %q", *backfill)
+	}
+
+	// The one gate every run config passes (the service applies the
+	// same), on the config as given and with any -branch-* overlay on
+	// it, before a profile starts or an output file is created.
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	var br experiments.Branch
+	if *branchPolicy != "" {
+		br.Scheduler = experiments.SchedulerKind(*branchPolicy)
+	}
+	if *branchA >= 0 {
+		br.Param = branchA
+	}
+	if *branchFinder != "" {
+		br.Finder = *branchFinder
+	}
+	if err := br.Apply(cfg).Validate(); err != nil {
+		return fmt.Errorf("branch: %w", err)
+	}
+	stopProfiles, err := obs.Start()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfiles(); perr != nil {
+			fmt.Fprintln(os.Stderr, "bgsim:", perr)
+		}
+	}()
+
 	if *eventLog != "" {
 		f, err := os.Create(*eventLog)
 		if err != nil {
@@ -181,24 +203,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		trace.InstallFlightSignalDump()
 		trace.InstallFlightPanicDump()
 	}
-	switch *combine {
-	case "independent":
-	case "max":
-		cfg.CombineMax = true
-	default:
-		return fmt.Errorf("unknown combiner %q", *combine)
-	}
-	switch *backfill {
-	case "easy":
-		cfg.Backfill = core.BackfillEASY
-	case "aggressive":
-		cfg.Backfill = core.BackfillAggressive
-	case "none":
-		cfg.BackfillStrict = true
-	default:
-		return fmt.Errorf("unknown backfill mode %q", *backfill)
-	}
-
 	cfg.Telemetry = obs.Registry()
 
 	var res sim.Result
@@ -224,16 +228,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		parent, err := experiments.ParentConfig(st)
 		if err != nil {
 			return fmt.Errorf("restore %s: %w", *restoreFile, err)
-		}
-		var br experiments.Branch
-		if *branchPolicy != "" {
-			br.Scheduler = experiments.SchedulerKind(*branchPolicy)
-		}
-		if *branchA >= 0 {
-			br.Param = branchA
-		}
-		if *branchFinder != "" {
-			br.Finder = *branchFinder
 		}
 		// The snapshot defines the world and policy baseline; the flag-built
 		// config contributes only observability wiring.

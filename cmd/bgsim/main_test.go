@@ -90,10 +90,10 @@ func TestBgsimRejectsOutOfRangeA(t *testing.T) {
 		args []string
 		want string // error substring; empty means accepted
 	}{
-		{[]string{"-a", "7"}, "-a must be in [0, 1], got 7"},
-		{[]string{"-a", "-3"}, "-a must be in [0, 1], got -3"},
-		{[]string{"-a", "1.01"}, "-a must be in [0, 1], got 1.01"},
-		{[]string{"-branch-a", "1.5"}, "-branch-a must be in [0, 1], got 1.5"},
+		{[]string{"-a", "7"}, "Param must be in [0, 1], got 7"},
+		{[]string{"-a", "-3"}, "Param must be in [0, 1], got -3"},
+		{[]string{"-a", "1.01"}, "Param must be in [0, 1], got 1.01"},
+		{[]string{"-branch-a", "1.5"}, "branch: Param must be in [0, 1], got 1.5"},
 		{[]string{"-a", "0"}, ""},
 		{[]string{"-a", "1"}, ""},
 		{[]string{"-branch-a", "-2"}, ""},
@@ -106,6 +106,53 @@ func TestBgsimRejectsOutOfRangeA(t *testing.T) {
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
 		}
+	}
+}
+
+// bgsim refuses every value the service refuses, naming the RunConfig
+// field, before anything runs: each of these once ran silently (a
+// negative failure count as fault-free, the others ignored or run as
+// given).
+func TestBgsimRefusesWhatTheServiceRefuses(t *testing.T) {
+	for _, tc := range []struct {
+		flag, value, want string
+	}{
+		{"-failures", "-5", "FailureNominal must be >= 0, got -5"},
+		{"-failure-scale", "-2", "FailureScale must be >= 0, got -2"},
+		{"-ckpt-interval", "-1", "CheckpointInterval must be >= 0, got -1"},
+		{"-estimate-factor", "-3", "EstimateFactor must be >= 0, got -3"},
+		{"-c", "1e6", "LoadScale must be in (0, 100], got 1e+06"},
+	} {
+		var out bytes.Buffer
+		err := run(context.Background(), []string{"-jobs", "10", tc.flag, tc.value}, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s %s: err = %v, want %q", tc.flag, tc.value, err, tc.want)
+		}
+		if out.Len() > 0 {
+			t.Errorf("%s %s: printed results:\n%s", tc.flag, tc.value, out.String())
+		}
+	}
+}
+
+// A checkpoint cadence that would schedule more than a million
+// checkpoints over the jobs' work is refused at build time; a
+// realistic interval still runs.
+func TestBgsimBoundsCheckpointWork(t *testing.T) {
+	for _, args := range [][]string{
+		{"-jobs", "5", "-ckpt-interval", "0.001"},
+		{"-jobs", "5", "-ckpt-predictive", "-ckpt-interval", "0.01", "-failures", "100"},
+	} {
+		err := run(context.Background(), args, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "checkpoint") {
+			t.Errorf("%v: err = %v, want a checkpoint bound error", args, err)
+		}
+	}
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-jobs", "200", "-ckpt-interval", "600"}, &out); err != nil {
+		t.Fatalf("-ckpt-interval 600 refused: %v", err)
+	}
+	if !strings.Contains(out.String(), "checkpoints=") {
+		t.Fatalf("accepted run took no checkpoints:\n%s", out.String())
 	}
 }
 

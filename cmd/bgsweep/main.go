@@ -30,7 +30,6 @@ import (
 	"os"
 	"time"
 
-	"bgsched/internal/contention"
 	"bgsched/internal/experiments"
 	"bgsched/internal/partition"
 	"bgsched/internal/resilience"
@@ -78,6 +77,22 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	opt := experiments.Options{
+		JobCount: *jobs, Seed: *seed, FailureScale: *fscale,
+		Metric: *metric, Replications: *reps, Aggregate: *agg,
+		// With -metrics, every sweep point gets its own registry and the
+		// resulting tables carry per-point snapshots into the manifest.
+		CollectTelemetry: obs.Metrics != "",
+	}
+	// The gates the service applies, before any point runs: the figure
+	// options, and the per-point overlay on an otherwise default config.
+	if err := opt.Validate(); err != nil {
+		return err
+	}
+	overlay := experiments.RunConfig{Finder: *finder, AnnealSeed: *annealSeed, Contention: *cont}
+	if err := overlay.Validate(); err != nil {
+		return err
+	}
 	stopProfiles, err := obs.Start()
 	if err != nil {
 		return err
@@ -87,29 +102,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			fmt.Fprintln(os.Stderr, "bgsweep:", perr)
 		}
 	}()
-	opt := experiments.Options{
-		JobCount: *jobs, Seed: *seed, FailureScale: *fscale,
-		Metric: *metric, Replications: *reps, Aggregate: *agg,
-		// With -metrics, every sweep point gets its own registry and the
-		// resulting tables carry per-point snapshots into the manifest.
-		CollectTelemetry: obs.Metrics != "",
-	}
 	manifest := telemetry.NewManifest("bgsweep", args, opt)
 	manifest.Seed = *seed
 
-	if *finder != "" {
-		if _, err := partition.ByName(*finder, *annealSeed); err != nil {
-			return err
-		}
-	}
-	if *annealSeed < 0 {
-		return fmt.Errorf("-anneal-seed must be non-negative, got %d (run with -h for usage)", *annealSeed)
-	}
-	if *cont != "" {
-		if _, err := contention.FromLevel(*cont); err != nil {
-			return err
-		}
-	}
 	eng := &experiments.Engine{
 		Ctx: ctx, Workers: *workers, Retries: *retries,
 		Isolate: true, CheckInvariants: *check,

@@ -235,6 +235,30 @@ func TestBgsweepBadPlacementFlags(t *testing.T) {
 	}
 }
 
+// Malformed figure options are refused by experiments.Options.Validate,
+// naming the field, before any point runs. Each of these once
+// simulated the whole figure and then failed or ran a default.
+func TestBgsweepRefusesBadOptions(t *testing.T) {
+	for _, tc := range []struct {
+		flag, value, want string
+	}{
+		{"-metric", "slowdwn", `Metric: unknown "slowdwn"`},
+		{"-agg", "foo", `Aggregate: unknown "foo"`},
+		{"-reps", "-2", "Replications must be >= 1, got -2"},
+		{"-jobs", "-3", "JobCount must be >= 1, got -3"},
+		{"-failure-scale", "-1", "FailureScale must be >= 0, got -1"},
+	} {
+		var out bytes.Buffer
+		err := run(context.Background(), []string{"-fig", "fig3", "-reps", "1", "-jobs", "20", tc.flag, tc.value}, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s %s: err = %v, want %q", tc.flag, tc.value, err, tc.want)
+		}
+		if out.Len() > 0 {
+			t.Errorf("%s %s: ran points:\n%s", tc.flag, tc.value, out.String())
+		}
+	}
+}
+
 // -tournament runs every registered finder against every workload with
 // contention off and on, and reports one labelled row per entry.
 func TestBgsweepTournament(t *testing.T) {

@@ -5,6 +5,7 @@
 //
 //	bgtrace workload -preset SDSC -jobs 2000 -seed 1 > sdsc.swf
 //	bgtrace failures -count 1000 -span-days 30 -seed 1 > failures.csv
+//	bgtrace mapfailures -in compute.csv -machine 32x32x64 -block 8x8x8 > failures.csv
 //	bgtrace inspect  -swf sdsc.swf
 //	bgtrace spans    -in run.trace.ndjson -job 17
 //	bgtrace spans    -in run.trace.ndjson -chrome run.json
@@ -38,7 +39,7 @@ func main() {
 
 func run(ctx context.Context, args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: bgtrace <workload|failures|inspect> [flags]")
+		return fmt.Errorf("usage: bgtrace <workload|failures|mapfailures|inspect|spans> [flags]")
 	}
 	// Subcommands are single-shot; honouring cancellation at the
 	// boundary keeps a queued Ctrl-C from starting new work.

@@ -113,6 +113,19 @@ func TestBgtraceErrors(t *testing.T) {
 	}
 }
 
+// The no-argument usage error names every subcommand run dispatches.
+func TestBgtraceUsageNamesEverySubcommand(t *testing.T) {
+	err := run(context.Background(), nil, &bytes.Buffer{})
+	if err == nil {
+		t.Fatal("no subcommand accepted")
+	}
+	for _, sub := range []string{"workload", "failures", "mapfailures", "inspect", "spans"} {
+		if !strings.Contains(err.Error(), sub) {
+			t.Errorf("usage %q does not name %s", err, sub)
+		}
+	}
+}
+
 func TestDistLineEmpty(t *testing.T) {
 	if got := distLine(nil); got != "n/a" {
 		t.Errorf("distLine(nil) = %q", got)

@@ -113,7 +113,7 @@ func TestGoldenEventLogIdenticalAcrossFinders(t *testing.T) {
 	if !strings.Contains(ref, `"kind":"start"`) || !strings.Contains(ref, `"kind":"kill"`) {
 		t.Fatalf("golden log is missing expected event kinds:\n%.600s", ref)
 	}
-	for _, finder := range []string{"naive", "pop", "fast"} {
+	for _, finder := range []string{"naive", "pop"} {
 		got := goldenEventLog(t, finder)
 		if got != ref {
 			t.Errorf("finder %s produced a different event log (%d vs %d bytes)",
@@ -127,8 +127,8 @@ func TestGoldenEventLogIdenticalAcrossFinders(t *testing.T) {
 // byte-identical, otherwise the cross-finder comparison above could
 // never fail meaningfully.
 func TestGoldenEventLogIsDeterministic(t *testing.T) {
-	a := goldenEventLog(t, "fast")
-	b := goldenEventLog(t, "fast")
+	a := goldenEventLog(t, "anneal")
+	b := goldenEventLog(t, "anneal")
 	if a != b {
 		t.Fatal("same configuration replayed twice produced different event logs")
 	}

@@ -72,7 +72,7 @@ func TestGoldenTraceAcrossFinders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("naive finder is slow; skipped with -short")
 	}
-	for _, finder := range []string{"naive", "pop", "shape", "fast"} {
+	for _, finder := range []string{"naive", "pop", "shape"} {
 		finder := finder
 		t.Run(finder, func(t *testing.T) {
 			if got := traceDigest(t, finder); got != traceGoldenDigest {

@@ -1,6 +1,8 @@
 package build
 
 import (
+	"fmt"
+
 	"bgsched/internal/contention"
 	"bgsched/internal/core"
 	"bgsched/internal/failure"
@@ -95,6 +97,9 @@ func (b *Builder) cache() *Cache {
 // the synthesis-heavy upstream stages are served from the artifact
 // cache whenever a previous build shared their sub-config.
 func (b *Builder) Build(cfg RunConfig) (sim.Config, *Artifacts, error) {
+	if err := cfg.Validate(); err != nil {
+		return sim.Config{}, nil, fmt.Errorf("build: %w", err)
+	}
 	cfg.Normalize()
 	reg := cfg.Telemetry
 	if b != nil && b.Telemetry != nil {
@@ -238,7 +243,7 @@ func (b *Builder) Build(cfg RunConfig) (sim.Config, *Artifacts, error) {
 	if err != nil {
 		return sim.Config{}, nil, err
 	}
-	ckpt, err := buildCheckpoint(cfg, index)
+	ckpt, err := buildCheckpoint(cfg, jobs, index)
 	if err != nil {
 		return sim.Config{}, nil, err
 	}

@@ -25,12 +25,16 @@ import (
 	"math"
 
 	"bgsched/internal/checkpoint"
+	"bgsched/internal/contention"
 	"bgsched/internal/core"
 	"bgsched/internal/failure"
+	"bgsched/internal/job"
+	"bgsched/internal/partition"
 	"bgsched/internal/predict"
 	"bgsched/internal/telemetry"
 	"bgsched/internal/torus"
 	"bgsched/internal/trace"
+	"bgsched/internal/workload"
 )
 
 // SchedulerKind names the scheduling algorithm under test.
@@ -195,6 +199,68 @@ func (c RunConfig) Canonical() RunConfig {
 	return c
 }
 
+// Validate reports the first rule a normalized copy of the config
+// breaks, naming the offending field. It is the one gate for a run
+// config: Build applies it, and so do the service and the CLIs before
+// they queue or start anything. Caps that only protect a shared
+// server's resources (the service's MaxJobs) stay with that server.
+func (c RunConfig) Validate() error {
+	c.Normalize()
+	if c.JobCount < 1 {
+		return fmt.Errorf("JobCount must be >= 1, got %d", c.JobCount)
+	}
+	if c.Machine != "" {
+		if _, err := torus.Parse(c.Machine); err != nil {
+			return fmt.Errorf("Machine: %v", err)
+		}
+	}
+	if _, err := workload.PresetByName(c.Workload, c.JobCount); err != nil {
+		return fmt.Errorf("Workload: %v", err)
+	}
+	if _, err := partition.ByName(c.Finder, c.AnnealSeed); err != nil {
+		return fmt.Errorf("Finder: %v", err)
+	}
+	if c.AnnealSeed < 0 {
+		return fmt.Errorf("AnnealSeed must be >= 0, got %d", c.AnnealSeed)
+	}
+	switch c.Scheduler {
+	case SchedBaseline, SchedBalancing, SchedTieBreak, SchedBalancingLearned, SchedTieBreakLearned:
+	default:
+		return fmt.Errorf("Scheduler: unknown kind %q", c.Scheduler)
+	}
+	if !(c.Param >= 0 && c.Param <= 1) {
+		return fmt.Errorf("Param must be in [0, 1], got %g", c.Param)
+	}
+	if !(c.LoadScale > 0 && c.LoadScale <= 100) {
+		return fmt.Errorf("LoadScale must be in (0, 100], got %g", c.LoadScale)
+	}
+	switch c.Backfill {
+	case core.BackfillNone, core.BackfillAggressive, core.BackfillEASY:
+	default:
+		return fmt.Errorf("Backfill: unknown mode %d", int(c.Backfill))
+	}
+	if _, err := contention.FromLevel(c.Contention); err != nil {
+		return fmt.Errorf("Contention: %v", err)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"EstimateFactor", c.EstimateFactor}, {"FailureScale", c.FailureScale},
+		{"MigrationCost", c.MigrationCost}, {"Downtime", c.Downtime},
+		{"CheckpointInterval", c.CheckpointInterval}, {"CheckpointOverhead", c.CheckpointOverhead},
+		{"CheckpointRestart", c.CheckpointRestart},
+	} {
+		if !(f.v >= 0) {
+			return fmt.Errorf("%s must be >= 0, got %g", f.name, f.v)
+		}
+	}
+	if c.FailureNominal < 0 {
+		return fmt.Errorf("FailureNominal must be >= 0, got %d", c.FailureNominal)
+	}
+	return nil
+}
+
 // maxFailureCount bounds the failures one run may inject: a 16 MB
 // trace, about 100x the 10 051 that SDSC injects at the service's
 // 20 000-job cap and nominal 4000. A larger count would make the
@@ -266,37 +332,56 @@ func buildPolicy(cfg RunConfig, ix func() (*failure.Index, error)) (core.Policy,
 	return nil, fmt.Errorf("build: unknown scheduler %q", cfg.Scheduler)
 }
 
-// buildCheckpoint assembles the optional checkpointing extension.
-func buildCheckpoint(cfg RunConfig, ix func() (*failure.Index, error)) (*checkpoint.Config, error) {
-	switch {
-	case cfg.CheckpointPredictive:
-		index, err := ix()
-		if err != nil {
-			return nil, err
-		}
-		horizon := cfg.CheckpointInterval
+// maxCheckpointCount bounds the checkpoints (or predictive re-polls)
+// one run may schedule, estimated as the jobs' total Actual work over
+// the cadence. Each is a calendar event; at a millisecond interval five
+// jobs already dispatch over four million of them.
+const maxCheckpointCount = 1_000_000
+
+// buildCheckpoint assembles the optional checkpointing extension,
+// refusing a cadence that would schedule more than maxCheckpointCount
+// checkpoints over the jobs' work.
+func buildCheckpoint(cfg RunConfig, jobs []*job.Job, ix func() (*failure.Index, error)) (*checkpoint.Config, error) {
+	horizon := cfg.CheckpointInterval
+	cadence := horizon
+	if cfg.CheckpointPredictive {
 		if horizon <= 0 {
 			horizon = 3600
 		}
-		return &checkpoint.Config{
-			Policy: &checkpoint.PredictionTriggered{
-				Oracle:  predict.NewTieBreak(index, cfg.Param, cfg.Seed+3),
-				Horizon: horizon,
-				Lead:    60,
-				MinGap:  horizon / 4,
-			},
-			Overhead:       cfg.CheckpointOverhead,
-			RestartPenalty: cfg.CheckpointRestart,
-			PollInterval:   horizon / 4,
-		}, nil
-	case cfg.CheckpointInterval > 0:
+		cadence = horizon / 4 // the policy's re-poll interval
+	} else if horizon <= 0 {
+		return nil, nil
+	}
+	work := 0.0
+	for _, j := range jobs {
+		work += j.Actual
+	}
+	if n := work / cadence; !(n <= maxCheckpointCount) { // also refuses NaN
+		return nil, fmt.Errorf("build: checkpoint cadence %gs over %.0fs of job work schedules %.4g checkpoints, above the limit of %d",
+			cadence, work, n, maxCheckpointCount)
+	}
+	if !cfg.CheckpointPredictive {
 		return &checkpoint.Config{
 			Policy:         &checkpoint.Periodic{Interval: cfg.CheckpointInterval},
 			Overhead:       cfg.CheckpointOverhead,
 			RestartPenalty: cfg.CheckpointRestart,
 		}, nil
 	}
-	return nil, nil
+	index, err := ix()
+	if err != nil {
+		return nil, err
+	}
+	return &checkpoint.Config{
+		Policy: &checkpoint.PredictionTriggered{
+			Oracle:  predict.NewTieBreak(index, cfg.Param, cfg.Seed+3),
+			Horizon: horizon,
+			Lead:    60,
+			MinGap:  cadence,
+		},
+		Overhead:       cfg.CheckpointOverhead,
+		RestartPenalty: cfg.CheckpointRestart,
+		PollInterval:   cadence,
+	}, nil
 }
 
 // learnedWith builds the learned predictor, using Param (when set) as

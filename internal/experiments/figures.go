@@ -63,6 +63,35 @@ func (o Options) normalize() Options {
 // the same cache entry.
 func (o Options) Canonical() Options { return o.normalize() }
 
+// Validate reports the first rule a normalized copy of the options
+// breaks, naming the offending field: the one gate for figure options,
+// applied by the service at submit and by bgsweep before any point
+// runs. Caps that only protect a shared server's resources stay with
+// that server.
+func (o Options) Validate() error {
+	o = o.normalize()
+	if o.JobCount < 1 {
+		return fmt.Errorf("JobCount must be >= 1, got %d", o.JobCount)
+	}
+	if o.Replications < 1 {
+		return fmt.Errorf("Replications must be >= 1, got %d", o.Replications)
+	}
+	switch o.Metric {
+	case MetricSlowdown, MetricResponse, MetricWait:
+	default:
+		return fmt.Errorf("Metric: unknown %q", o.Metric)
+	}
+	switch o.Aggregate {
+	case AggMean, AggMedian:
+	default:
+		return fmt.Errorf("Aggregate: unknown %q", o.Aggregate)
+	}
+	if !(o.FailureScale >= 0) {
+		return fmt.Errorf("FailureScale must be >= 0, got %g", o.FailureScale)
+	}
+	return nil
+}
+
 // Metric names accepted by Options.Metric.
 const (
 	MetricSlowdown = "slowdown"

@@ -9,11 +9,8 @@ import (
 	"net/http/pprof"
 
 	"bgsched/internal/experiments"
-	"bgsched/internal/partition"
 	"bgsched/internal/telemetry"
-	"bgsched/internal/torus"
 	"bgsched/internal/trace"
-	"bgsched/internal/workload"
 )
 
 // buildHandler wires the route table and the middleware chain:
@@ -359,52 +356,18 @@ func (s *Server) lookup(id string) *run {
 const maxSweepWorkers = 4
 
 // validateRunConfig rejects configs that are malformed or outsized
-// before they consume a queue slot. cfg is already canonical.
+// before they consume a queue slot: this server's job cap, then the
+// rules every run config must pass. cfg is already canonical.
 func (s *Server) validateRunConfig(cfg experiments.RunConfig) error {
 	if cfg.JobCount < 1 || cfg.JobCount > s.cfg.MaxJobs {
 		return fmt.Errorf("JobCount must be in [1, %d], got %d", s.cfg.MaxJobs, cfg.JobCount)
 	}
-	if cfg.Machine != "" {
-		if _, err := torus.Parse(cfg.Machine); err != nil {
-			return fmt.Errorf("Machine: %v", err)
-		}
-	}
-	if _, err := workload.PresetByName(cfg.Workload, cfg.JobCount); err != nil {
-		return fmt.Errorf("Workload: %v", err)
-	}
-	if _, err := partition.ByName(cfg.Finder, cfg.AnnealSeed); err != nil {
-		return fmt.Errorf("Finder: %v", err)
-	}
-	switch cfg.Scheduler {
-	case experiments.SchedBaseline, experiments.SchedBalancing, experiments.SchedTieBreak,
-		experiments.SchedBalancingLearned, experiments.SchedTieBreakLearned:
-	default:
-		return fmt.Errorf("Scheduler: unknown kind %q", cfg.Scheduler)
-	}
-	if cfg.Param < 0 || cfg.Param > 1 {
-		return fmt.Errorf("Param must be in [0, 1], got %g", cfg.Param)
-	}
-	if cfg.LoadScale <= 0 || cfg.LoadScale > 100 {
-		return fmt.Errorf("LoadScale must be in (0, 100], got %g", cfg.LoadScale)
-	}
-	for name, v := range map[string]float64{
-		"EstimateFactor": cfg.EstimateFactor, "FailureScale": cfg.FailureScale,
-		"MigrationCost": cfg.MigrationCost, "Downtime": cfg.Downtime,
-		"CheckpointInterval": cfg.CheckpointInterval, "CheckpointOverhead": cfg.CheckpointOverhead,
-		"CheckpointRestart": cfg.CheckpointRestart,
-	} {
-		if v < 0 {
-			return fmt.Errorf("%s must be >= 0, got %g", name, v)
-		}
-	}
-	if cfg.FailureNominal < 0 {
-		return fmt.Errorf("FailureNominal must be >= 0, got %d", cfg.FailureNominal)
-	}
-	return nil
+	return cfg.Validate()
 }
 
-// validateFigureOptions rejects malformed or outsized sweep options.
-// opt is already canonical.
+// validateFigureOptions rejects malformed or outsized sweep options:
+// this server's job and replication caps, then the rules every figure
+// request must pass. opt is already canonical.
 func (s *Server) validateFigureOptions(opt experiments.Options) error {
 	if opt.JobCount < 1 || opt.JobCount > s.cfg.MaxJobs {
 		return fmt.Errorf("JobCount must be in [1, %d], got %d", s.cfg.MaxJobs, opt.JobCount)
@@ -412,20 +375,7 @@ func (s *Server) validateFigureOptions(opt experiments.Options) error {
 	if opt.Replications < 1 || opt.Replications > 16 {
 		return fmt.Errorf("Replications must be in [1, 16], got %d", opt.Replications)
 	}
-	switch opt.Metric {
-	case experiments.MetricSlowdown, experiments.MetricResponse, experiments.MetricWait:
-	default:
-		return fmt.Errorf("Metric: unknown %q", opt.Metric)
-	}
-	switch opt.Aggregate {
-	case experiments.AggMean, experiments.AggMedian:
-	default:
-		return fmt.Errorf("Aggregate: unknown %q", opt.Aggregate)
-	}
-	if opt.FailureScale < 0 {
-		return fmt.Errorf("FailureScale must be >= 0, got %g", opt.FailureScale)
-	}
-	return nil
+	return opt.Validate()
 }
 
 // decodeBody strictly decodes the JSON request body into v, answering

@@ -505,6 +505,9 @@ func TestValidationErrors(t *testing.T) {
 		{"bad workload", `{"Workload":"KRONOS"}`, 400},
 		{"bad finder", `{"Finder":"psychic"}`, 400},
 		{"param range", `{"Param":1.5}`, 400},
+		{"unknown contention", `{"JobCount":50,"Contention":"extreme"}`, 400},
+		{"unknown backfill", `{"JobCount":50,"Backfill":7}`, 400},
+		{"negative anneal seed", `{"JobCount":50,"Finder":"anneal","AnnealSeed":-1}`, 400},
 		{"unknown field", `{"Bogus":1}`, 400},
 		{"broken json", `{"JobCount":`, 400},
 	}

@@ -5,42 +5,25 @@ import (
 	"fmt"
 	"sort"
 
-	"bgsched/internal/contention"
 	"bgsched/internal/job"
 	"bgsched/internal/trace"
 )
 
 // ---------------------------------------------------------------------
 // Network contention: runtime dilation from shared torus lines.
+//
+// When a job starts, it and every co-resident neighbor whose partition
+// shares lines with it are each dilated by the model's per-line charge
+// (internal/contention). The dilation extends the affected run's
+// completion via the same epoch-reissue idiom checkpoint overheads use,
+// so killed or rescheduled runs never see stale finish events. A nil
+// Config.Contention keeps all of it a no-op, so the paper's main runs
+// are untouched.
 
-// contentionSubsystem charges running jobs for the torus lines their
-// partitions share: when a job starts, it and every co-resident
-// neighbor whose partition shares lines with it are each dilated by
-// the model's per-line charge (internal/contention). The dilation
-// extends the affected run's completion via the same epoch-reissue
-// idiom checkpoint overheads use, so killed or rescheduled runs never
-// see stale finish events. It owns no event kinds — it rides the start
-// hook — and a nil config keeps every hook a no-op, so the paper's
-// main runs are untouched.
-type contentionSubsystem struct {
-	s   *Simulator
-	cfg *contention.Config
-
-	// Accumulated model state, mirrored into Result as it accrues and
-	// round-tripped through snapshots: total charges applied, total
-	// dilation seconds, and the per-job dilation breakdown.
-	charges int
-	total   float64
-	perJob  map[job.ID]float64
-}
-
-func (c *contentionSubsystem) attach(*kernel) {}
-
-func (c *contentionSubsystem) name() string { return "contention" }
-
-// contentionState is the subsystem's snapshot payload: the aggregate
-// counters plus the per-job dilation ledger, jobs sorted so the
-// canonical snapshot encoding is stable.
+// contentionState is the model's snapshot payload: the aggregate
+// counters (Result.ContentionCharges, Result.DilationSeconds) plus the
+// per-job dilation ledger, jobs sorted so the canonical snapshot
+// encoding is stable.
 type contentionState struct {
 	Charges int                `json:"charges"`
 	Total   float64            `json:"total"`
@@ -52,16 +35,16 @@ type contentionJobRow struct {
 	Dilation float64 `json:"dilation"`
 }
 
-// SnapshotState serializes the dilation ledger. A disabled model keeps
-// no state (nil), so runs without contention produce the exact
-// snapshot bytes they did before the subsystem existed.
-func (c *contentionSubsystem) SnapshotState() (json.RawMessage, error) {
-	if c.cfg == nil {
+// contentionState serializes the dilation ledger. A disabled model
+// keeps no state (nil), so runs without contention produce the exact
+// snapshot bytes they did before the model existed.
+func (s *Simulator) contentionState() (json.RawMessage, error) {
+	if s.cfg.Contention == nil {
 		return nil, nil
 	}
-	st := contentionState{Charges: c.charges, Total: c.total}
-	for id := range c.perJob {
-		st.Jobs = append(st.Jobs, contentionJobRow{Job: id, Dilation: c.perJob[id]})
+	st := contentionState{Charges: s.result.ContentionCharges, Total: s.result.DilationSeconds}
+	for id, d := range s.dilation {
+		st.Jobs = append(st.Jobs, contentionJobRow{Job: id, Dilation: d})
 	}
 	sort.Slice(st.Jobs, func(i, j int) bool { return st.Jobs[i].Job < st.Jobs[j].Job })
 	b, err := json.Marshal(st)
@@ -71,12 +54,12 @@ func (c *contentionSubsystem) SnapshotState() (json.RawMessage, error) {
 	return b, nil
 }
 
-// RestoreState feeds a captured ledger back and mirrors the aggregates
-// into the restored Result. A branch that disabled contention drops
-// the payload (defined branch semantics: the new mechanism starts from
-// its own zero state).
-func (c *contentionSubsystem) RestoreState(data json.RawMessage) error {
-	if data == nil || c.cfg == nil {
+// restoreContention feeds a captured ledger back, its aggregates into
+// the restored Result. A nil payload means the snapshot recorded none.
+// A branch that disabled contention drops the payload (defined branch
+// semantics: the model starts from its own zero state).
+func (s *Simulator) restoreContention(data json.RawMessage) error {
+	if data == nil || s.cfg.Contention == nil {
 		return nil
 	}
 	var st contentionState
@@ -86,30 +69,24 @@ func (c *contentionSubsystem) RestoreState(data json.RawMessage) error {
 	if st.Charges < 0 || st.Total < 0 {
 		return fmt.Errorf("sim: contention restore: negative ledger (charges %d, total %g)", st.Charges, st.Total)
 	}
-	c.charges = st.Charges
-	c.total = st.Total
-	c.perJob = make(map[job.ID]float64, len(st.Jobs))
+	s.dilation = make(map[job.ID]float64, len(st.Jobs))
 	for _, row := range st.Jobs {
-		c.perJob[row.Job] = row.Dilation
+		s.dilation[row.Job] = row.Dilation
 	}
-	c.s.result.ContentionCharges = st.Charges
-	c.s.result.DilationSeconds = st.Total
+	s.result.ContentionCharges = st.Charges
+	s.result.DilationSeconds = st.Total
 	return nil
 }
 
-// onJobStart charges the contention of the new co-residency: the
-// starter pays for every line it shares with each running neighbor,
-// and each such neighbor pays for the lines the starter now contends
-// on. Neighbors are visited in job-id order, so the charge sequence —
-// and with it the event calendar and the causal trace — is
-// deterministic. Runs before the checkpoint subsystem's start hook in
-// the wiring list, so the first checkpoint is scheduled against the
-// final (dilated) epoch and completion.
-func (c *contentionSubsystem) onJobStart(r *runState) {
-	if c.cfg == nil {
+// contend charges the contention of a new co-residency: the starter
+// pays for every line it shares with each running neighbor, and each
+// such neighbor pays for the lines the starter now contends on.
+// Neighbors are visited in job-id order, so the charge sequence — and
+// with it the event calendar and the causal trace — is deterministic.
+func (s *Simulator) contend(r *runState) {
+	if s.cfg.Contention == nil {
 		return
 	}
-	s := c.s
 	ids := make([]job.ID, 0, len(s.running))
 	for id := range s.running {
 		if id != r.job.ID {
@@ -123,15 +100,15 @@ func (c *contentionSubsystem) onJobStart(r *runState) {
 	selfCharge := 0.0
 	for _, id := range ids {
 		n := s.running[id]
-		charge := c.cfg.Charge(s.cfg.Geometry, r.part, n.part)
+		charge := s.cfg.Contention.Charge(s.cfg.Geometry, r.part, n.part)
 		if charge <= 0 {
 			continue
 		}
 		selfCharge += charge
-		c.dilate(n, charge, startSeq)
+		s.dilate(n, charge, startSeq)
 	}
 	if selfCharge > 0 {
-		c.dilate(r, selfCharge, startSeq)
+		s.dilate(r, selfCharge, startSeq)
 	}
 }
 
@@ -140,8 +117,7 @@ func (c *contentionSubsystem) onJobStart(r *runState) {
 // overheadSoFar exactly like a checkpoint overhead, keeping the saved-
 // work accounting intact, and the pending finish event is reissued
 // under a fresh epoch.
-func (c *contentionSubsystem) dilate(r *runState, charge float64, cause uint64) {
-	s := c.s
+func (s *Simulator) dilate(r *runState, charge float64, cause uint64) {
 	p := s.progress[r.job.ID]
 	r.overheadSoFar += charge
 	r.finishTime += charge
@@ -150,12 +126,10 @@ func (c *contentionSubsystem) dilate(r *runState, charge float64, cause uint64) 
 	p.nextEpoch++
 	s.k.push(event{time: r.finishTime, kind: evFinish, jobID: r.job.ID, epoch: r.epoch})
 
-	c.charges++
-	c.total += charge
-	if c.perJob == nil {
-		c.perJob = make(map[job.ID]float64)
+	if s.dilation == nil {
+		s.dilation = make(map[job.ID]float64)
 	}
-	c.perJob[r.job.ID] += charge
+	s.dilation[r.job.ID] += charge
 	s.result.ContentionCharges++
 	s.result.DilationSeconds += charge
 	s.met.contentions.Inc()

@@ -17,7 +17,7 @@ const (
 	evCkptPoll
 	evNodeUp
 
-	// evKindCount sizes the kernel's dispatch table; keep it last.
+	// evKindCount bounds the known kinds; keep it last.
 	evKindCount
 )
 

@@ -2,43 +2,20 @@ package sim
 
 import "fmt"
 
-// handlerFunc processes one popped calendar event.
-type handlerFunc func(event) error
-
 // kernel is the deterministic discrete-event core of the simulator: a
 // calendar heap ordered by (time, sequence) — so simultaneous events
-// replay in exactly their insertion order — the simulation clock, and a
-// dispatch table mapping each event kind to the handler its subsystem
-// registered at wiring time. The kernel knows nothing about jobs,
-// machines or policies; subsystems own all semantics.
+// replay in exactly their insertion order — and the simulation clock.
+// The kernel knows nothing about jobs, machines or policies;
+// Simulator.step dispatches each event it hands out.
 type kernel struct {
-	queue    eventQueue
-	now      float64
-	handlers [evKindCount]handlerFunc
+	queue eventQueue
+	now   float64
 
 	// dispatched counts events popped and dispatched since the start of
 	// the run. It survives snapshot/restore, so "event seq N" names the
 	// same boundary in an uninterrupted run and in any prefix+continue
 	// decomposition of it.
 	dispatched int64
-
-	// tap, when set, observes every dispatched event before its handler
-	// runs (the flight recorder's hook). Pure observation: the kernel
-	// stays mechanism-free, and a crashing handler has already had its
-	// triggering event recorded.
-	tap func(event)
-}
-
-// register installs the handler for one event kind. Each kind has
-// exactly one owner; a second registration is a wiring bug.
-func (k *kernel) register(kind eventKind, h handlerFunc) {
-	if kind < 0 || int(kind) >= len(k.handlers) {
-		panic(fmt.Sprintf("sim: register: event kind %d out of range", int(kind)))
-	}
-	if k.handlers[kind] != nil {
-		panic(fmt.Sprintf("sim: handler for %v registered twice", kind))
-	}
-	k.handlers[kind] = h
 }
 
 // push enqueues an event; the queue stamps its sequence number, so two
@@ -48,22 +25,19 @@ func (k *kernel) push(e event) { k.queue.push(e) }
 // pending returns the number of queued events.
 func (k *kernel) pending() int { return k.queue.Len() }
 
-// step pops the earliest event, advances the clock and dispatches to
-// the registered handler. Time must be monotone: an event behind the
-// clock aborts the run, since it means a subsystem scheduled into the
-// past.
-func (k *kernel) step() error {
+// next pops the earliest event and advances the clock to it. Time must
+// be monotone: an event behind the clock aborts the run, since it means
+// a mechanism scheduled into the past. An event of no known kind is
+// refused before it counts as dispatched.
+func (k *kernel) next() (event, error) {
 	e := k.queue.pop()
 	if e.time < k.now {
-		return fmt.Errorf("sim: event time went backwards: %g after %g", e.time, k.now)
+		return e, fmt.Errorf("sim: event time went backwards: %g after %g", e.time, k.now)
 	}
 	k.now = e.time
-	if e.kind < 0 || int(e.kind) >= len(k.handlers) || k.handlers[e.kind] == nil {
-		return fmt.Errorf("sim: unknown event kind %d", int(e.kind))
+	if e.kind < 0 || e.kind >= evKindCount {
+		return e, fmt.Errorf("sim: unknown event kind %d", int(e.kind))
 	}
 	k.dispatched++
-	if k.tap != nil {
-		k.tap(e)
-	}
-	return k.handlers[e.kind](e)
+	return e, nil
 }

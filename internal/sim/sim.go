@@ -18,13 +18,12 @@
 // per-failure node downtime, and checkpointing with periodic or
 // prediction-triggered policies (Section 8 future work).
 //
-// Internally the simulator is a deterministic event-kernel plus
-// registered subsystems: the kernel (kernel.go) owns the calendar heap,
-// the clock and a per-event-kind dispatch table; each mechanism —
-// failures, checkpointing, migration (subsystems.go) — registers the
-// handlers and lifecycle hooks it owns at construction time. The
-// Simulator itself handles only the core lifecycle (arrival, start,
-// finish) and the scheduler pass.
+// Internally the simulator is a deterministic event kernel (kernel.go:
+// the calendar heap and the clock) driven by Simulator.step, which
+// dispatches each event by kind to the core lifecycle (arrival, start,
+// finish) or to one mechanism, each in its own file: failures
+// (failures.go), checkpointing (checkpoint.go), migration
+// (migration.go) and network contention (contention.go).
 package sim
 
 import (
@@ -238,12 +237,10 @@ type Simulator struct {
 	result   Result
 	pending  int // jobs not yet finished
 
-	// Registered subsystems (for the snapshot hooks) and their lifecycle
-	// hooks, discovered at wiring time.
-	subs           []subsystem
-	startHooks     []startHook
-	startCostHooks []startCostHook
-	finishHooks    []finishHook
+	// dilation is the contention model's per-job dilation ledger,
+	// round-tripped through snapshots; its aggregates accrue in
+	// result.ContentionCharges and result.DilationSeconds.
+	dilation map[job.ID]float64
 
 	// started flips when the run's initial observation has been taken;
 	// a simulator restored from a snapshot starts true, because the
@@ -316,10 +313,9 @@ func validateConfig(cfg Config) error {
 	return nil
 }
 
-// newSimulator builds the simulator shell for a validated config: the
-// dispatch table wired, subsystems registered, maps allocated — but the
-// calendar empty and no state loaded. New loads the initial calendar;
-// NewFromSnapshot restores a serialized one.
+// newSimulator builds the simulator shell for a validated config: maps
+// allocated, but the calendar empty and no state loaded. New loads the
+// initial calendar; NewFromSnapshot restores a serialized one.
 func newSimulator(cfg Config) *Simulator {
 	s := &Simulator{
 		cfg:      cfg,
@@ -331,34 +327,6 @@ func newSimulator(cfg Config) *Simulator {
 		progress: make(map[job.ID]*jobProgress),
 		pending:  len(cfg.Jobs),
 	}
-	if cfg.Flight != nil {
-		s.k.tap = s.flightTap
-	}
-	// Wire the dispatch table: the core lifecycle handlers, then each
-	// subsystem's own event kinds and lifecycle hooks.
-	s.k.register(evArrival, s.handleArrival)
-	s.k.register(evFinish, s.handleFinish)
-	s.subs = []subsystem{
-		&failureSubsystem{s: s},
-		// Contention precedes checkpointing so its start-hook dilation
-		// settles a run's final epoch and completion before the first
-		// checkpoint is scheduled against them.
-		&contentionSubsystem{s: s, cfg: cfg.Contention},
-		&checkpointSubsystem{s: s, cfg: cfg.Checkpoint},
-		&migrationSubsystem{s: s},
-	}
-	for _, sub := range s.subs {
-		sub.attach(&s.k)
-		if h, ok := sub.(startHook); ok {
-			s.startHooks = append(s.startHooks, h)
-		}
-		if h, ok := sub.(startCostHook); ok {
-			s.startCostHooks = append(s.startCostHooks, h)
-		}
-		if h, ok := sub.(finishHook); ok {
-			s.finishHooks = append(s.finishHooks, h)
-		}
-	}
 	s.jobsByID = make(map[job.ID]*job.Job, len(cfg.Jobs))
 	for _, j := range cfg.Jobs {
 		s.jobsByID[j.ID] = j
@@ -366,10 +334,8 @@ func newSimulator(cfg Config) *Simulator {
 	return s
 }
 
-// New validates the configuration and prepares a simulator: the core
-// arrival/finish handlers and every subsystem register their event
-// handlers on the kernel, and the initial calendar (arrivals, failure
-// trace) is loaded.
+// New validates the configuration and prepares a simulator with the
+// initial calendar (arrivals, failure trace) loaded.
 func New(cfg Config) (*Simulator, error) {
 	if err := validateConfig(cfg); err != nil {
 		return nil, err
@@ -464,7 +430,7 @@ func (s *Simulator) RunToEvent(ctx context.Context, upTo int64) (bool, error) {
 				s.k.now, s.pending)
 		}
 		ev.Inc()
-		err := s.k.step()
+		err := s.step()
 		if err == nil && s.cfg.CheckInvariants {
 			err = s.verifyInvariants()
 		}
@@ -477,6 +443,34 @@ func (s *Simulator) RunToEvent(ctx context.Context, upTo int64) (bool, error) {
 		}
 	}
 	return true, nil
+}
+
+// step takes the next event from the kernel and dispatches it by kind.
+// The flight recorder sees the event before its handler runs, so a
+// crashing handler has already had its triggering event recorded.
+func (s *Simulator) step() error {
+	e, err := s.k.next()
+	if err != nil {
+		return err
+	}
+	if s.cfg.Flight != nil {
+		s.recordFlight(e)
+	}
+	switch e.kind {
+	case evArrival:
+		return s.handleArrival(e)
+	case evFinish:
+		return s.handleFinish(e)
+	case evFailure:
+		return s.handleFailure(e)
+	case evNodeUp:
+		return s.handleNodeUp(e)
+	case evCheckpoint:
+		return s.handleCheckpoint(e)
+	case evCkptPoll:
+		return s.handleCkptPoll(e)
+	}
+	return nil
 }
 
 // Finalize closes the capacity integral, flushes the output streams and
@@ -570,10 +564,10 @@ func (s *Simulator) handleFinish(e event) error {
 	s.pending--
 	s.runFree = append(s.runFree, r) // last read of r above
 
-	for _, h := range s.finishHooks {
-		if err := h.afterFinish(); err != nil {
-			return err
-		}
+	// Compaction runs between the completed job's accounting and the
+	// scheduler pass that refills the machine.
+	if err := s.migrate(); err != nil {
+		return err
 	}
 	if err := s.schedule(); err != nil {
 		return err
@@ -608,10 +602,7 @@ func (s *Simulator) schedule() error {
 // allocated by the scheduler.
 func (s *Simulator) start(d core.Decision) {
 	p := s.progress[d.Job.ID]
-	penalty := 0.0
-	for _, h := range s.startCostHooks {
-		penalty += h.startPenalty(p)
-	}
+	penalty := s.restartPenalty(p)
 	remainingActual := d.Job.Actual - p.savedWork
 	if remainingActual < 0 {
 		remainingActual = 0
@@ -655,9 +646,11 @@ func (s *Simulator) start(d core.Decision) {
 			trace.Num("wait", s.k.now-d.Job.Arrival), trace.Fint("epoch", int64(epoch)))
 	}
 	s.k.push(event{time: r.finishTime, kind: evFinish, jobID: d.Job.ID, epoch: r.epoch})
-	for _, h := range s.startHooks {
-		h.onJobStart(r)
-	}
+	// Contention dilates the new co-residency before the first
+	// checkpoint is scheduled, so the checkpoint is placed against the
+	// run's final (dilated) epoch and completion.
+	s.contend(r)
+	s.scheduleCheckpoint(r)
 }
 
 // runningList snapshots the running jobs for the scheduler, in

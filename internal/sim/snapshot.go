@@ -134,16 +134,21 @@ func (s *Simulator) Snapshot() (*snapshot.State, error) {
 			QueueDemand: p.QueueDemand, Running: p.Running,
 		})
 	}
-	for _, sub := range s.subs {
-		data, err := sub.SnapshotState()
-		if err != nil {
-			return nil, err
-		}
-		if data != nil {
-			st.Subsystems = append(st.Subsystems, snapshot.SubsystemState{Name: sub.name(), Data: data})
-		}
+	// Mechanism state, in name order: each entry only when non-nil.
+	ck, err := s.checkpointState()
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(st.Subsystems, func(i, j int) bool { return st.Subsystems[i].Name < st.Subsystems[j].Name })
+	if ck != nil {
+		st.Subsystems = append(st.Subsystems, snapshot.SubsystemState{Name: "checkpoint", Data: ck})
+	}
+	cs, err := s.contentionState()
+	if err != nil {
+		return nil, err
+	}
+	if cs != nil {
+		st.Subsystems = append(st.Subsystems, snapshot.SubsystemState{Name: "contention", Data: cs})
+	}
 
 	if err := st.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: captured inconsistent snapshot: %w", err)
@@ -285,19 +290,16 @@ func NewFromSnapshot(cfg Config, st *snapshot.State) (*Simulator, error) {
 		if _, dup := byName[ss.Name]; dup {
 			return nil, fmt.Errorf("sim: snapshot has duplicate subsystem state %q", ss.Name)
 		}
+		if ss.Name != "checkpoint" && ss.Name != "contention" {
+			return nil, fmt.Errorf("sim: snapshot carries state for unknown subsystem %q", ss.Name)
+		}
 		byName[ss.Name] = ss.Data
 	}
-	for _, sub := range s.subs {
-		data, ok := byName[sub.name()]
-		if ok {
-			delete(byName, sub.name())
-		}
-		if err := sub.RestoreState(data); err != nil {
-			return nil, err
-		}
+	if err := s.restoreContention(byName["contention"]); err != nil {
+		return nil, err
 	}
-	for name := range byName {
-		return nil, fmt.Errorf("sim: snapshot carries state for unknown subsystem %q", name)
+	if err := s.restoreCheckpoint(byName["checkpoint"]); err != nil {
+		return nil, err
 	}
 
 	// The prefix run already took the initial observation; the restored

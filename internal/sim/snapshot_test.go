@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -262,43 +263,40 @@ func TestSnapshotMigrationCauseChain(t *testing.T) {
 	}
 }
 
-// TestSubsystemSnapshotHooks table-tests the per-subsystem state
-// contract: who serializes state, who doesn't, and how payloads are
-// treated on restore.
+// TestSubsystemSnapshotHooks table-tests the snapshot state contract
+// of the mechanisms that keep state: who serializes state, who doesn't,
+// and how payloads are treated on restore.
 func TestSubsystemSnapshotHooks(t *testing.T) {
 	cfg := faultySchedConfig(t)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sub := range s.subs {
-		sub := sub
-		t.Run(sub.name(), func(t *testing.T) {
-			data, err := sub.SnapshotState()
+	for _, tc := range []struct {
+		name    string
+		state   func() (json.RawMessage, error)
+		restore func(json.RawMessage) error
+	}{
+		{"checkpoint", s.checkpointState, s.restoreCheckpoint},
+		{"contention", s.contentionState, s.restoreContention},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data, err := tc.state()
 			if err != nil {
 				t.Fatal(err)
 			}
-			switch sub.name() {
-			case "failures", "migration":
-				if data != nil {
-					t.Fatalf("stateless subsystem serialized %s", data)
-				}
-			case "checkpoint", "contention":
-				// Neither mechanism is configured in this scenario:
-				// nothing to keep.
-				if data != nil {
-					t.Fatalf("disabled %s subsystem serialized %s", sub.name(), data)
-				}
-			default:
-				t.Fatalf("unknown subsystem %q in wiring list", sub.name())
+			// Neither mechanism is configured in this scenario: nothing
+			// to keep.
+			if data != nil {
+				t.Fatalf("disabled %s mechanism serialized %s", tc.name, data)
 			}
 			// A nil payload must always be accepted.
-			if err := sub.RestoreState(nil); err != nil {
+			if err := tc.restore(nil); err != nil {
 				t.Fatal(err)
 			}
-			// A leftover payload for a subsystem that keeps no state (the
-			// branch-swap case) is dropped, not an error.
-			if err := sub.RestoreState([]byte(`[{"Job":1,"Time":3}]`)); err != nil {
+			// A leftover payload for a mechanism configured without state
+			// (the branch-swap case) is dropped, not an error.
+			if err := tc.restore([]byte(`[{"Job":1,"Time":3}]`)); err != nil {
 				t.Fatal(err)
 			}
 		})

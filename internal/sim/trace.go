@@ -40,9 +40,8 @@ func (s *Simulator) traceSim(name string, fields ...trace.Field) uint64 {
 	return s.cfg.Trace.Emit(trace.Rec{Cat: "sim", Name: name, T: s.k.now, Fields: fields})
 }
 
-// flightTap adapts kernel dispatches into flight-recorder entries; the
-// kernel calls it blindly, keeping the mechanism out of the event loop.
-func (s *Simulator) flightTap(e event) {
+// recordFlight adapts one kernel dispatch into a flight-recorder entry.
+func (s *Simulator) recordFlight(e event) {
 	s.cfg.Flight.Record(trace.FlightEvent{
 		T:     e.time,
 		Seq:   e.seq,

@@ -153,9 +153,11 @@ func equivSeqs(seed, events int64, n int) []int64 {
 // byte-identical to the uninterrupted run — event log, causal trace and
 // final result.
 func TestSnapshotEquivalence(t *testing.T) {
-	finders := []string{"naive", "pop", "shape", "fast"}
+	// anneal is the one finder whose placement reads grid state beyond
+	// its candidate set (its search is seeded from the occupancy).
+	finders := []string{"naive", "pop", "shape", "anneal"}
 	if testing.Short() {
-		finders = []string{"shape", "fast"} // naive/pop are slow; CI runs all four
+		finders = []string{"shape", "anneal"} // naive/pop are slow; CI runs all four
 	}
 	for ci, base := range equivConfigs() {
 		for _, finder := range finders {
