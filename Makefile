@@ -19,9 +19,9 @@ vet:
 	$(GO) vet ./...
 
 # Short fuzzing smoke over the trace parsers, the partition-finder
-# differential oracle, the scheduler-memo exactness oracle and the run
-# request path (decode, validate, build, bounded run); CI-friendly
-# budget.
+# differential oracle, the scheduler-memo exactness oracle, the
+# node-set L_PF against its per-node reference and the run request
+# path (decode, validate, build, bounded run); CI-friendly budget.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzReadSWF -fuzztime $(FUZZTIME) ./internal/workload
@@ -29,6 +29,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzFinderEquivalence -fuzztime $(FUZZTIME) ./internal/partition/oracle
 	$(GO) test -run NONE -fuzz FuzzSnapshotRoundTrip -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run NONE -fuzz FuzzScheduleMatchesFreshScheduler -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run NONE -fuzz FuzzSetLPFMatchesPartitionFailProb -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run NONE -fuzz FuzzRunConfigGate -fuzztime $(FUZZTIME) ./internal/build
 
 # The scheduling-simulation service on :8080 (override: make serve

@@ -40,6 +40,13 @@ func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 			Scheduler: experiments.SchedBalancing, Param: 0.1, Seed: 1,
 			Backfill: core.BackfillEASY,
 		}},
+		// Tie-break asks its oracle about every tied candidate: the
+		// node set answers without a per-candidate node list.
+		{"shape-tiebreak-easy", experiments.RunConfig{
+			Workload: "SDSC", JobCount: 1000, FailureNominal: 1000,
+			Scheduler: experiments.SchedTieBreak, Param: 0.5, Seed: 1,
+			Backfill: core.BackfillEASY,
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { steadyStateZeroAllocs(t, tc.cfg) })
 	}

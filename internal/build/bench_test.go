@@ -1,6 +1,10 @@
 package build
 
-import "testing"
+import (
+	"testing"
+
+	"bgsched/internal/failure"
+)
 
 // benchCfg is a sweep-point-sized config whose build cost is dominated
 // by workload synthesis and failure-trace generation — exactly the
@@ -68,5 +72,32 @@ func TestWarmBuildAllocatedBytes(t *testing.T) {
 	}
 	if got := res.AllocedBytesPerOp(); res.N == 0 || got >= 256<<10 {
 		t.Fatalf("warm Build allocates %d B/op over %d ops, want under %d", got, res.N, 256<<10)
+	}
+}
+
+// TestIndexAllocatedBytes bounds what the failure index costs to build
+// and hold. For the headline trace (SDSC, 2 000 jobs, 1 000 nominal
+// failures, seed 1: 246 events on 128 nodes) the index of one slice
+// per node allocated 8 016 B, mostly 128 slice headers and append
+// slack; the flat layout with its time-ordered view must not exceed
+// that.
+func TestIndexAllocatedBytes(t *testing.T) {
+	_, art, err := Default(RunConfig{
+		Workload: "SDSC", JobCount: 2000, FailureNominal: 1000,
+		Scheduler: SchedBalancing, Param: 0.1, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(art.Trace) != 246 {
+		t.Fatalf("headline trace has %d events, want 246", len(art.Trace))
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			failure.NewIndex(art.Geometry.N(), art.Trace)
+		}
+	})
+	if got := res.AllocedBytesPerOp(); res.N == 0 || got > 8016 {
+		t.Fatalf("NewIndex allocates %d B/op over %d ops, want at most 8016", got, res.N)
 	}
 }

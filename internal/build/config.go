@@ -302,13 +302,9 @@ func buildPolicy(cfg RunConfig, ix func() (*failure.Index, error)) (core.Policy,
 		if err != nil {
 			return nil, err
 		}
-		combine := core.Combiner(predict.CombineIndependent)
-		if cfg.CombineMax {
-			combine = predict.CombineMax
-		}
 		return &core.Balancing{
-			Prober:  &predict.Balancing{Index: index, Confidence: cfg.Param},
-			Combine: combine,
+			Prober: &predict.Balancing{Index: index, Confidence: cfg.Param},
+			Max:    cfg.CombineMax,
 		}, nil
 	case SchedTieBreak:
 		index, err := ix()

@@ -305,15 +305,20 @@ type nodeProbs []float64
 
 func (p nodeProbs) NodeFailProb(node int, _, _ float64) float64 { return p[node] }
 
+// combiner returns the per-node fold pol.Max selects.
+func combiner(pol *Balancing) Combiner {
+	if pol.Max {
+		return predict.CombineMax
+	}
+	return predict.CombineIndependent
+}
+
 // exhaustiveBalancing is the balancing argmin computed the plain way:
 // every candidate scored in full, its MFP found by allocating it,
 // running partition.MaxFree and releasing it.
 func exhaustiveBalancing(t *testing.T, gr *torus.Grid, j *job.Job, now float64, pol *Balancing, cands []torus.Partition) int {
 	t.Helper()
-	combine := pol.Combine
-	if combine == nil {
-		combine = predict.CombineIndependent
-	}
+	combine := combiner(pol)
 	_, before := partition.MaxFree(gr)
 	best, bestLoss := -1, 0.0
 	for i, p := range cands {
@@ -404,7 +409,7 @@ func TestBalancingMatchesExhaustiveArgmin(t *testing.T) {
 
 		pol := &Balancing{}
 		if rng.Intn(2) == 1 {
-			pol.Combine = predict.CombineMax
+			pol.Max = true
 		}
 		probs := make(nodeProbs, g.N())
 		switch kind := trial % 4; kind {
@@ -430,10 +435,7 @@ func TestBalancingMatchesExhaustiveArgmin(t *testing.T) {
 		}
 
 		// Tally what the bound sees along the full scan.
-		combine := pol.Combine
-		if combine == nil {
-			combine = predict.CombineIndependent
-		}
+		combine := combiner(pol)
 		_, before := partition.MaxFree(gr)
 		allZero, bestLoss := true, 0.0
 		for i, p := range cands {

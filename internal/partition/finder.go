@@ -273,7 +273,7 @@ func (s *mfpScratch) sweep(g torus.Geometry, pl plate) (torus.Partition, int) {
 	d := g.Dims
 	free := lowBits(d.Y)
 	if pl.axis == 1 {
-		free &^= windowMask(d.Y, pl.start, pl.length)
+		free &^= torus.WindowMask(d.Y, pl.start, pl.length)
 	}
 	for x := range s.mask {
 		s.mask[x] = free

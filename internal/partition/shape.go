@@ -160,13 +160,6 @@ func windowBases(busy uint64, dz, sz int, wrap bool) uint64 {
 	return w
 }
 
-// windowMask returns the dz-bit column word whose cyclic window
-// [start, start+length) is set, for 0 <= start < dz and length <= dz.
-func windowMask(dz, start, length int) uint64 {
-	m := lowBits(length)
-	return (m<<start | m>>(dz-start)) & lowBits(dz)
-}
-
 // lowBits returns the word with the low n bits set, for 0 <= n <= 64.
 func lowBits(n int) uint64 {
 	return 1<<n - 1 // 1<<64 is 0, so n = 64 sets every bit

@@ -46,11 +46,6 @@ type Learned struct {
 	// oracle: a node with window failure probability above it counts
 	// as "will fail".
 	Threshold float64
-
-	// machine-hot memo (see machineHot).
-	hotCacheTime float64
-	hotCache     bool
-	hotCacheSet  bool
 }
 
 // NewLearned returns a Learned predictor with sensible defaults for a
@@ -112,23 +107,10 @@ func (l *Learned) hazard(node int, now float64) float64 {
 }
 
 // machineHot reports whether any node failed within the trailing
-// BurstWindow. The last answer is memoised per query time: placement
-// evaluation asks about every node of a partition at the same instant.
+// BurstWindow, over the same window as hazard's per-node burst test,
+// with one search of the index's time-ordered events.
 func (l *Learned) machineHot(now float64) bool {
-	if l.hotCacheTime == now && l.hotCacheSet {
-		return l.hotCache
-	}
-	hot := false
-	for n := 0; n < l.History.Nodes(); n++ {
-		if l.History.HasFailureWithin(n, now-l.BurstWindow, math.Nextafter(now, 0)) {
-			hot = true
-			break
-		}
-	}
-	l.hotCacheTime = now
-	l.hotCache = hot
-	l.hotCacheSet = true
-	return hot
+	return l.History.AnyWithin(now-l.BurstWindow, math.Nextafter(now, 0))
 }
 
 // NodeFailProb implements NodeProber: P(node fails in (now, until]).

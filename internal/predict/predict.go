@@ -5,9 +5,22 @@
 // negative rate (tie-breaking predictor). This isolates the scheduling
 // question — "how good must a predictor be to help?" — from any
 // particular prediction algorithm.
+//
+// Besides the per-node interfaces, the knob predictors answer for
+// every node at once, as a node bitset laid out like
+// torus.Grid.Occupancy: bit n%64 of word n/64 stands for node n, and
+// a set holds at least (nodes+63)/64 words. A balancing answer takes
+// two values, a for the nodes of the set and 0 for every other node
+// (FailSet); a tie-breaking answer is the set of nodes answered yes
+// (WillFailSet). The placement policies score candidates from these
+// sets, and ask any other predictor node by node.
 package predict
 
-import "bgsched/internal/failure"
+import (
+	"math/bits"
+
+	"bgsched/internal/failure"
+)
 
 // NodeProber is the balancing-predictor interface: the estimated
 // probability that a node fails in the window (now, until].
@@ -17,6 +30,7 @@ type NodeProber interface {
 
 // PartitionOracle is the tie-breaking-predictor interface: a boolean
 // answer to "will any node of this partition fail in (now, until]?".
+// The nodes slice is only read during the call.
 type PartitionOracle interface {
 	PartitionWillFail(nodes []int, now, until float64) bool
 }
@@ -35,6 +49,14 @@ func (b *Balancing) NodeFailProb(node int, now, until float64) float64 {
 		return b.Confidence
 	}
 	return 0
+}
+
+// FailSet overwrites set with the nodes NodeFailProb answers
+// Confidence for in (now, until] and returns Confidence; every other
+// node is answered 0.
+func (b *Balancing) FailSet(set []uint64, now, until float64) float64 {
+	b.Index.FailingWithin(set, now, until)
+	return b.Confidence
 }
 
 var _ NodeProber = (*Balancing)(nil)
@@ -101,6 +123,27 @@ func (tb *TieBreak) PartitionWillFail(nodes []int, now, until float64) bool {
 	return false
 }
 
+// WillFailSet overwrites set with the nodes NodeWillFail answers yes
+// for: those whose first failure after now lies in (now, until] and
+// whose hash draw for that failure passes. Only the nodes failing in
+// the window are drawn, one NextFailure each.
+func (tb *TieBreak) WillFailSet(set []uint64, now, until float64) {
+	tb.Index.FailingWithin(set, now, until)
+	if tb.Accuracy >= 1 {
+		return
+	}
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			node := w<<6 | b
+			ft, _ := tb.Index.NextFailure(node, now)
+			if !(hashUnit(node, ft, tb.IntSeed) < tb.Accuracy) {
+				set[w] &^= 1 << b
+			}
+		}
+	}
+}
+
 var _ PartitionOracle = (*TieBreak)(nil)
 
 // Perfect is an oracle with confidence/accuracy 1: it reports exactly
@@ -128,6 +171,13 @@ func (p *Perfect) PartitionWillFail(nodes []int, now, until float64) bool {
 	return false
 }
 
+// FailSet overwrites set with the nodes that fail in (now, until] and
+// returns 1, NodeFailProb's answer for them.
+func (p *Perfect) FailSet(set []uint64, now, until float64) float64 {
+	p.Index.FailingWithin(set, now, until)
+	return 1
+}
+
 // Null is the no-prediction predictor (a = 0): every node looks healthy.
 // Schedulers driven by Null degenerate to the fault-unaware baseline.
 type Null struct{}
@@ -137,6 +187,12 @@ func (Null) NodeFailProb(int, float64, float64) float64 { return 0 }
 
 // PartitionWillFail implements PartitionOracle.
 func (Null) PartitionWillFail([]int, float64, float64) bool { return false }
+
+// FailSet clears set and returns 0: no node is flagged.
+func (Null) FailSet(set []uint64, _, _ float64) float64 {
+	clear(set)
+	return 0
+}
 
 var (
 	_ NodeProber      = (*Perfect)(nil)

@@ -81,14 +81,57 @@ func (gr *Grid) OccupancyHash() uint64 {
 // column fits one word; it is read from at most two words of the
 // Occupancy bitset.
 func (gr *Grid) ColumnBits(col int) uint64 {
-	dz := gr.geom.Dims.Z
+	return columnWord(gr.busy, col, gr.geom.Dims.Z)
+}
+
+// columnWord returns z-column col of a node bitset laid out like
+// Occupancy, dz bits to a column.
+func columnWord(set []uint64, col, dz int) uint64 {
 	start := col * dz
 	w, off := start>>6, start&63
-	word := gr.busy[w] >> off
+	word := set[w] >> off
 	if off+dz > 64 {
-		word |= gr.busy[w+1] << (64 - off)
+		word |= set[w+1] << (64 - off)
 	}
 	return word & (1<<dz - 1) // 1<<64 is 0: a 64-node column keeps every bit
+}
+
+// WindowMask returns the dim-bit word whose cyclic window
+// [start, start+length) is set, for 0 <= start < dim and
+// length <= dim <= 64: a partition's z-extent within a column word.
+func WindowMask(dim, start, length int) uint64 {
+	m := uint64(1)<<length - 1 // 1<<64 is 0, so length 64 sets every bit
+	return (m<<start | m>>(dim-start)) & (1<<dim - 1)
+}
+
+// Footprint reads partition p one z-column word at a time: it returns
+// k, the number of p's nodes whose bit is set in the node bitset set
+// (laid out like Occupancy; a nil set counts none), and whether any
+// node of p is allocated. p must be valid on the grid's geometry. It
+// visits p.Shape.X*p.Shape.Y columns where ForEachNode visits every
+// node; PartitionFree is the per-node reference for busy.
+func (gr *Grid) Footprint(set []uint64, p Partition) (k int, busy bool) {
+	d := gr.geom.Dims
+	mask := WindowMask(d.Z, p.Base.Z, p.Shape.Z)
+	var taken uint64
+	for dx := 0; dx < p.Shape.X; dx++ {
+		x := p.Base.X + dx
+		if x >= d.X {
+			x -= d.X
+		}
+		for dy := 0; dy < p.Shape.Y; dy++ {
+			y := p.Base.Y + dy
+			if y >= d.Y {
+				y -= d.Y
+			}
+			col := x*d.Y + y
+			taken |= columnWord(gr.busy, col, d.Z)
+			if set != nil {
+				k += bits.OnesCount64(columnWord(set, col, d.Z) & mask)
+			}
+		}
+	}
+	return k, taken&mask != 0
 }
 
 // nodeKey is the fixed Zobrist key of a node: a splitmix64 step over

@@ -435,3 +435,77 @@ func TestGridRandomWorkload(t *testing.T) {
 	}
 	assertSummaries(t, gr)
 }
+
+// TestGridFootprint: the column-word count and occupancy of a
+// partition agree with a node-by-node walk, for random node sets and
+// random single-node occupancy, on every valid partition of small
+// machines — wrapping on the tori, and with columns that straddle a
+// word (3x5x7, 1x3x33) or fill one (2x2x64).
+func TestGridFootprint(t *testing.T) {
+	for _, g := range []Geometry{
+		NewGeometry(4, 4, 8, true),
+		NewGeometry(3, 5, 7, true),
+		NewGeometry(3, 5, 7, false),
+		NewGeometry(1, 3, 33, true),
+		NewGeometry(2, 2, 64, true),
+	} {
+		t.Run(g.Spec(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(g.N())))
+			d := g.Dims
+			for trial := 0; trial < 4; trial++ {
+				gr := NewGrid(g)
+				set := make([]uint64, (g.N()+63)/64)
+				for id := 0; id < g.N(); id++ {
+					if rng.Intn(6) == 0 {
+						if err := gr.Allocate(Partition{Base: g.CoordOf(id), Shape: Shape{1, 1, 1}}, 1); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if rng.Intn(5) == 0 {
+						set[id>>6] |= 1 << (id & 63)
+					}
+				}
+				checked := 0
+				for i := 0; i < 3000; i++ {
+					p := Partition{
+						Base:  Coord{rng.Intn(d.X), rng.Intn(d.Y), rng.Intn(d.Z)},
+						Shape: Shape{1 + rng.Intn(d.X), 1 + rng.Intn(d.Y), 1 + rng.Intn(d.Z)},
+					}
+					if !g.ValidPartition(p) {
+						continue
+					}
+					want := 0
+					g.ForEachNode(p, func(id int) bool {
+						want += int(set[id>>6] >> (id & 63) & 1)
+						return true
+					})
+					k, busy := gr.Footprint(set, p)
+					if k != want || busy == gr.PartitionFree(p) {
+						t.Fatalf("%v: Footprint = %d, busy %v; node walk %d, free %v", p, k, busy, want, gr.PartitionFree(p))
+					}
+					if k0, busy0 := gr.Footprint(nil, p); k0 != 0 || busy0 != busy {
+						t.Fatalf("%v: Footprint(nil) = %d, %v", p, k0, busy0)
+					}
+					checked++
+				}
+				if checked < 100 {
+					t.Fatalf("only %d valid partitions checked", checked)
+				}
+			}
+		})
+	}
+}
+
+// TestAppendNodes: AppendNodes lists Nodes' ids into a reused buffer
+// without allocating.
+func TestAppendNodes(t *testing.T) {
+	g := NewGeometry(3, 5, 7, true)
+	p := Partition{Base: Coord{2, 4, 5}, Shape: Shape{2, 3, 4}}
+	buf := g.AppendNodes(nil, p)
+	if !slices.Equal(buf, g.Nodes(p)) {
+		t.Fatalf("AppendNodes = %v, Nodes = %v", buf, g.Nodes(p))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { buf = g.AppendNodes(buf[:0], p) }); allocs != 0 {
+		t.Fatalf("AppendNodes into a large enough buffer allocates %v times", allocs)
+	}
+}

@@ -49,12 +49,18 @@ func (g Geometry) ForEachNode(p Partition, fn func(id int) bool) bool {
 
 // Nodes returns the dense ids of every node in the partition.
 func (g Geometry) Nodes(p Partition) []int {
-	ids := make([]int, 0, p.Size())
+	return g.AppendNodes(make([]int, 0, p.Size()), p)
+}
+
+// AppendNodes appends the dense ids Nodes(p) returns, in the same
+// order, to buf and returns the extended slice, so a caller that
+// reuses its buffer lists a partition's nodes without allocating.
+func (g Geometry) AppendNodes(buf []int, p Partition) []int {
 	g.ForEachNode(p, func(id int) bool {
-		ids = append(ids, id)
+		buf = append(buf, id)
 		return true
 	})
-	return ids
+	return buf
 }
 
 // ContainsNode reports whether the node with the given dense id lies
