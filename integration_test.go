@@ -4,7 +4,13 @@ import (
 	"reflect"
 	"testing"
 
+	"bgsched/internal/build"
+	"bgsched/internal/core"
 	"bgsched/internal/experiments"
+	"bgsched/internal/failure"
+	"bgsched/internal/partition"
+	"bgsched/internal/predict"
+	"bgsched/internal/sim"
 )
 
 // TestBalancingZeroConfidenceEqualsBaseline pins the degenerate-case
@@ -80,13 +86,102 @@ func TestFaultFreeSchedulersAgree(t *testing.T) {
 	for _, cfg := range []experiments.RunConfig{
 		mk(experiments.SchedBalancing, 0.7),
 		mk(experiments.SchedTieBreak, 0.7),
+		mk(experiments.SchedBalancingLearned, 0),
+		mk(experiments.SchedBalancingLearned, 0.7),
+		mk(experiments.SchedTieBreakLearned, 0),
+		mk(experiments.SchedTieBreakLearned, 0.7),
 	} {
 		res, err := experiments.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(ref.Outcomes, res.Outcomes) {
-			t.Fatalf("%s diverged from baseline on a fault-free machine", cfg.Scheduler)
+			t.Fatalf("%s (a=%g) diverged from baseline on a fault-free machine", cfg.Scheduler, cfg.Param)
+		}
+	}
+}
+
+// TestTimeScalingDoublesSchedule is an oracle-free metamorphic check:
+// doubling every input time — arrivals, estimates, actual runtimes and
+// failure times — must exactly double every output time of the
+// baseline and balancing schedulers under EASY and leave the restart
+// counts unchanged. Doubling is exact in float64, and the predictor's
+// window (now, now+estimate] doubles with its inputs. Tie-break is
+// left out: its hash reads int64(t·1000), which the scaling changes.
+func TestTimeScalingDoublesSchedule(t *testing.T) {
+	run := func(sc sim.Config) sim.Result {
+		t.Helper()
+		s, err := sim.New(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, kind := range []experiments.SchedulerKind{experiments.SchedBaseline, experiments.SchedBalancing} {
+			cfg := experiments.RunConfig{
+				Workload: "SDSC", JobCount: 400, FailureNominal: 1000,
+				Scheduler: kind, Param: 0.1, Seed: seed,
+			}
+			sc, _, err := build.Default(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := run(sc)
+
+			// A fresh build supplies unused job clones to scale.
+			scaled, art, err := build.Default(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range scaled.Jobs {
+				// sim.start floors a remaining estimate at 1 s, a
+				// constant the scaling does not touch.
+				if j.Estimate < 1 {
+					t.Fatalf("seed %d: job %d estimate %g s is under the 1 s floor", seed, j.ID, j.Estimate)
+				}
+				j.Arrival, j.Estimate, j.Actual = 2*j.Arrival, 2*j.Estimate, 2*j.Actual
+			}
+			scaled.Failures = make(failure.Trace, len(art.Trace))
+			for i, e := range art.Trace {
+				scaled.Failures[i] = failure.Event{Time: 2 * e.Time, Node: e.Node}
+			}
+			var policy core.Policy = core.Baseline{}
+			if kind == experiments.SchedBalancing {
+				policy = &core.Balancing{Prober: &predict.Balancing{
+					Index:      failure.NewIndex(art.Geometry.N(), scaled.Failures),
+					Confidence: cfg.Param,
+				}}
+			}
+			finder, err := partition.ByName("shape", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if scaled.Scheduler, err = core.NewScheduler(core.Config{
+				Policy: policy, Finder: finder, Backfill: core.BackfillEASY,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			got := run(scaled)
+
+			if ref.JobKills == 0 {
+				t.Fatalf("seed %d %s: no job killed, so the kill path goes unchecked", seed, kind)
+			}
+			if len(got.Outcomes) != len(ref.Outcomes) {
+				t.Fatalf("seed %d %s: %d outcomes scaled, %d unscaled", seed, kind, len(got.Outcomes), len(ref.Outcomes))
+			}
+			for i, o := range ref.Outcomes {
+				g := got.Outcomes[i]
+				if g.ID != o.ID || g.Arrival != 2*o.Arrival || g.FirstStart != 2*o.FirstStart ||
+					g.LastStart != 2*o.LastStart || g.Finish != 2*o.Finish ||
+					g.LostWork != 2*o.LostWork || g.Restarts != o.Restarts {
+					t.Fatalf("seed %d %s: job %d scaled to %+v, want twice %+v", seed, kind, o.ID, g, o)
+				}
+			}
 		}
 	}
 }

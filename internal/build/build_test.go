@@ -496,3 +496,56 @@ func TestJobClonesConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheByteBound: the artifact cache weighs what it retains and
+// evicts least recently used artifacts until the weight fits its byte
+// budget; the latest build's artifacts stay, the oldest are rebuilt.
+func TestCacheByteBound(t *testing.T) {
+	const budget = 2 << 20 // one build of the configs below fits, two do not
+	b := &Builder{Cache: newCache(0, budget)}
+	build := func(seed int64) (*Artifacts, *telemetry.Registry) {
+		t.Helper()
+		reg := telemetry.New()
+		_, art, err := b.Build(RunConfig{
+			Workload: "SDSC", JobCount: 50, FailureNominal: 100, FailureScale: 500,
+			Scheduler: SchedBalancing, Param: 0.1, Seed: seed, Telemetry: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return art, reg
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		art, _ := build(seed)
+		if len(art.Trace) != 50000 || art.Index == nil {
+			t.Fatalf("seed %d: %d failures, index %v; want 50000 and an index", seed, len(art.Trace), art.Index)
+		}
+		mine := artifactBytes(art.Trace) + artifactBytes(art.Index) + artifactBytes(art.Log) + artifactBytes(art.Jobs)
+		if got := b.Cache.items.Size(); got > budget || got < mine {
+			t.Fatalf("seed %d: cache holds %d B, want between this build's %d B and the %d B budget", seed, got, mine, budget)
+		}
+	}
+	if _, reg := build(3); counter(reg, "build.cache.misses") != 0 {
+		t.Fatal("the latest build's artifacts were evicted")
+	}
+	if _, reg := build(1); counter(reg, "build.trace.misses") != 1 || counter(reg, "build.index.misses") != 1 {
+		t.Fatal("the oldest build's failure artifacts outlived the byte budget")
+	}
+
+	// The weights come from lengths.
+	art, _ := build(1)
+	for _, tc := range []struct {
+		v    any
+		want int64
+	}{
+		{art.Trace, 16 * 50000},
+		{art.Index, art.Index.Bytes()},
+		{art.Log, 32 * int64(len(art.Log.Jobs))},
+		{art.Jobs, 56 * int64(len(art.Jobs))},
+		{"not an artifact", 0},
+	} {
+		if got := artifactBytes(tc.v); got != tc.want {
+			t.Errorf("artifactBytes(%T) = %d, want %d", tc.v, got, tc.want)
+		}
+	}
+}

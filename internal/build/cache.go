@@ -3,8 +3,12 @@ package build
 import (
 	"errors"
 	"sync"
+	"unsafe"
 
+	"bgsched/internal/failure"
+	"bgsched/internal/job"
 	"bgsched/internal/lru"
+	"bgsched/internal/workload"
 )
 
 // DefaultCacheCapacity bounds the process-wide artifact cache. Entries
@@ -14,6 +18,12 @@ import (
 // dozen megabytes while comfortably covering every distinct
 // (workload, seed, load, failure) combination of a full figure sweep.
 const DefaultCacheCapacity = 256
+
+// DefaultCacheBytes bounds the bytes the artifact cache retains, as
+// artifactBytes weighs them. Near the failure-count limit one build's
+// trace and index weigh about 27 MiB, so the entry bound alone would
+// let a few dozen such requests hold gigabytes.
+const DefaultCacheBytes = 256 << 20
 
 // Cache is a bounded, self-locking LRU of immutable build artifacts
 // keyed by stage-qualified content hashes. Concurrent misses on the
@@ -38,16 +48,38 @@ type flight struct {
 	err  error
 }
 
-// NewCache returns an empty cache bounded to capacity entries;
-// capacity < 1 falls back to DefaultCacheCapacity.
+// NewCache returns an empty cache bounded to capacity entries and to
+// DefaultCacheBytes; capacity < 1 falls back to DefaultCacheCapacity.
 func NewCache(capacity int) *Cache {
+	return newCache(capacity, DefaultCacheBytes)
+}
+
+// newCache is NewCache with the byte bound given.
+func newCache(capacity int, maxBytes int64) *Cache {
 	if capacity < 1 {
 		capacity = DefaultCacheCapacity
 	}
 	return &Cache{
-		items:    lru.New[string, any](capacity),
+		items:    lru.NewSized[string, any](capacity, maxBytes, artifactBytes),
 		inflight: make(map[string]*flight),
 	}
+}
+
+// artifactBytes weighs an artifact by the lengths of what it holds: the
+// records of a workload log or a job slice, the events of a failure
+// trace and the arrays of a failure index. Other values weigh nothing.
+func artifactBytes(v any) int64 {
+	switch a := v.(type) {
+	case *workload.Log:
+		return int64(len(a.Jobs)) * int64(unsafe.Sizeof(workload.TraceJob{}))
+	case []*job.Job:
+		return int64(len(a)) * int64(unsafe.Sizeof(job.Job{})+unsafe.Sizeof(&job.Job{}))
+	case failure.Trace:
+		return int64(len(a)) * int64(unsafe.Sizeof(failure.Event{}))
+	case *failure.Index:
+		return a.Bytes()
+	}
+	return 0
 }
 
 // Shared is the process-wide artifact cache: experiments.RunContext,

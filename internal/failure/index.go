@@ -77,6 +77,11 @@ func indexed(e Event, nodes int) bool {
 // Nodes returns the machine size the index was built for.
 func (ix *Index) Nodes() int { return ix.nodes }
 
+// Bytes returns the size of the index's arrays, from their lengths.
+func (ix *Index) Bytes() int64 {
+	return int64(len(ix.times))*8 + int64(len(ix.offs)+len(ix.order))*4
+}
+
 // nodeTimes returns node's failure times, ascending; none for a node
 // outside the machine.
 func (ix *Index) nodeTimes(node int) []float64 {

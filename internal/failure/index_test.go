@@ -97,3 +97,13 @@ func countNode(tr Trace, n int) int {
 	}
 	return c
 }
+
+// TestIndexBytes: the index weighs 8 bytes per indexed time, 4 per
+// time-ordered position and 4 per node offset; the three events left
+// out of windowTrace weigh nothing.
+func TestIndexBytes(t *testing.T) {
+	ix := NewIndex(70, windowTrace(rand.New(rand.NewSource(3))))
+	if got, want := ix.Bytes(), int64(300*8+300*4+71*4); got != want {
+		t.Fatalf("Bytes() = %d, want %d", got, want)
+	}
+}

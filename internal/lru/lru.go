@@ -7,21 +7,36 @@ package lru
 import "container/list"
 
 // Cache maps keys to values, holding at most its capacity and evicting
-// the least recently used entry beyond that. Create one with New.
+// the least recently used entry beyond that. Create one with New, or
+// with NewSized to bound the total size of the values too.
 type Cache[K comparable, V any] struct {
 	cap   int
 	ll    *list.List // front = most recently used; values are *entry[K, V]
 	items map[K]*list.Element
+	// size, when set, weighs each value as it is added; the cache then
+	// also evicts until the weights total at most maxSize.
+	size    func(V) int64
+	maxSize int64
+	total   int64
 }
 
 type entry[K comparable, V any] struct {
-	key K
-	val V
+	key  K
+	val  V
+	size int64
 }
 
 // New returns an empty cache bounded to capacity entries.
 func New[K comparable, V any](capacity int) *Cache[K, V] {
 	return &Cache[K, V]{cap: capacity, ll: list.New(), items: make(map[K]*list.Element)}
+}
+
+// NewSized returns an empty cache bounded to capacity entries and to
+// values whose sizes, as size weighs them, total at most maxSize.
+func NewSized[K comparable, V any](capacity int, maxSize int64, size func(V) int64) *Cache[K, V] {
+	c := New[K, V](capacity)
+	c.size, c.maxSize = size, maxSize
+	return c
 }
 
 // Get returns the value for key and marks it most recently used.
@@ -36,18 +51,24 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 }
 
 // Add inserts key (or replaces its value), marks it most recently used
-// and returns how many entries were evicted to stay within capacity.
+// and returns how many entries were evicted to stay within the bounds.
+// A value larger than the whole size bound is evicted at once.
 func (c *Cache[K, V]) Add(key K, val V) (evicted int) {
-	if el, ok := c.items[key]; ok {
-		el.Value.(*entry[K, V]).val = val
-		c.ll.MoveToFront(el)
-		return 0
+	var size int64
+	if c.size != nil {
+		size = c.size(val)
 	}
-	c.items[key] = c.ll.PushFront(&entry[K, V]{key: key, val: val})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*entry[K, V]).key)
+	if el, ok := c.items[key]; ok {
+		e := el.Value.(*entry[K, V])
+		c.total += size - e.size
+		e.val, e.size = val, size
+		c.ll.MoveToFront(el)
+	} else {
+		c.items[key] = c.ll.PushFront(&entry[K, V]{key: key, val: val, size: size})
+		c.total += size
+	}
+	for c.ll.Len() > c.cap || c.total > c.maxSize {
+		c.remove(c.ll.Back())
 		evicted++
 	}
 	return evicted
@@ -56,10 +77,18 @@ func (c *Cache[K, V]) Add(key K, val V) (evicted int) {
 // Remove drops key if present.
 func (c *Cache[K, V]) Remove(key K) {
 	if el, ok := c.items[key]; ok {
-		c.ll.Remove(el)
-		delete(c.items, key)
+		c.remove(el)
 	}
 }
+
+func (c *Cache[K, V]) remove(el *list.Element) {
+	e := c.ll.Remove(el).(*entry[K, V])
+	delete(c.items, e.key)
+	c.total -= e.size
+}
+
+// Size returns the total size of the cached values (0 unless sized).
+func (c *Cache[K, V]) Size() int64 { return c.total }
 
 // Len returns the number of entries.
 func (c *Cache[K, V]) Len() int { return c.ll.Len() }
@@ -68,4 +97,5 @@ func (c *Cache[K, V]) Len() int { return c.ll.Len() }
 func (c *Cache[K, V]) Purge() {
 	c.ll.Init()
 	clear(c.items)
+	c.total = 0
 }

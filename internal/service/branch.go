@@ -129,20 +129,9 @@ func (s *Server) executeBranch(ctx context.Context, r *run) (any, error) {
 	}
 
 	cfg := bc.Branch.Apply(bc.Parent)
-	reg := telemetry.New()
-	cfg.Telemetry = reg
-	esw := sim.NewEventStreamWriter(r.events.append)
-	cfg.EventLog = esw
-	tsw := sim.NewEventStreamWriter(r.traces.append)
-	cfg.Trace = trace.New(tsw, trace.Options{WallSpans: true})
-	cfg.Trace.Meta(trace.F("run", r.id), trace.F("branch_of", bc.ParentID),
-		trace.Fint("at_seq", bc.AtSeq), trace.F("scheduler", string(cfg.Scheduler)))
-	if s.cfg.FlightEvents > 0 {
-		cfg.Flight = trace.NewFlightRecorder(s.cfg.FlightEvents, nil, "run "+r.id)
-	}
-	res, err := experiments.ResumeFromSnapshot(ctx, cfg, st)
-	esw.Close()
-	tsw.Close()
+	res, err := s.simulate(r, cfg, func(cfg experiments.RunConfig) (sim.Result, error) {
+		return experiments.ResumeFromSnapshot(ctx, cfg, st)
+	}, trace.F("branch_of", bc.ParentID), trace.Fint("at_seq", bc.AtSeq), trace.F("scheduler", string(cfg.Scheduler)))
 	if err != nil {
 		return nil, err
 	}
@@ -151,14 +140,6 @@ func (s *Server) executeBranch(ctx context.Context, r *run) (any, error) {
 		ParentHash: bc.ParentHash,
 		AtSeq:      bc.AtSeq,
 		Branch:     bc.Branch,
-		SimResult: SimResult{
-			Summary:       res.Summary,
-			FailureEvents: res.FailureEvents,
-			JobKills:      res.JobKills,
-			Migrations:    res.Migrations,
-			Checkpoints:   res.Checkpoints,
-			Backfills:     res.Backfills,
-			Telemetry:     reg.Snapshot(),
-		},
+		SimResult:  res,
 	}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"bgsched/internal/experiments"
@@ -118,8 +119,8 @@ func (s *Server) runOne(r *run) {
 	s.finish(r, attempts, payload, err)
 }
 
-// executeTask runs the simulation or figure sweep for r, streaming the
-// event log into the run's buffer as it is produced. Both paths build
+// executeTask runs the simulation or figure sweep for r, writing the
+// event log into the run's byte log as it is produced. Both paths build
 // their simulations through the staged run-builder (internal/build), so
 // every request served by this process shares one artifact cache:
 // repeated or near-identical submissions — the common shape of service
@@ -131,37 +132,9 @@ func (s *Server) executeTask(ctx context.Context, r *run) (any, error) {
 	switch r.kind {
 	case kindSim:
 		cfg := r.cfg.(experiments.RunConfig)
-		reg := telemetry.New()
-		cfg.Telemetry = reg
-		esw := sim.NewEventStreamWriter(r.events.append)
-		cfg.EventLog = esw
-		// The causal trace streams into its own buffer the same way the
-		// event log does; wall spans are on so the request's build stages
-		// show up alongside the simulated-time lifecycle records.
-		tsw := sim.NewEventStreamWriter(r.traces.append)
-		cfg.Trace = trace.New(tsw, trace.Options{WallSpans: true})
-		cfg.Trace.Meta(trace.F("run", r.id), trace.F("workload", cfg.Workload),
-			trace.F("scheduler", string(cfg.Scheduler)), trace.Fint("seed", cfg.Seed))
-		if s.cfg.FlightEvents > 0 {
-			// Registered/unregistered around the run by sim.RunContext, so
-			// GET /debug/flight sees exactly the in-flight runs.
-			cfg.Flight = trace.NewFlightRecorder(s.cfg.FlightEvents, nil, "run "+r.id)
-		}
-		res, err := experiments.RunContext(ctx, cfg)
-		esw.Close()
-		tsw.Close()
-		if err != nil {
-			return nil, err
-		}
-		return SimResult{
-			Summary:       res.Summary,
-			FailureEvents: res.FailureEvents,
-			JobKills:      res.JobKills,
-			Migrations:    res.Migrations,
-			Checkpoints:   res.Checkpoints,
-			Backfills:     res.Backfills,
-			Telemetry:     reg.Snapshot(),
-		}, nil
+		return s.simulate(r, cfg, func(cfg experiments.RunConfig) (sim.Result, error) {
+			return experiments.RunContext(ctx, cfg)
+		}, trace.F("workload", cfg.Workload), trace.F("scheduler", string(cfg.Scheduler)), trace.Fint("seed", cfg.Seed))
 	case kindBranch:
 		return s.executeBranch(ctx, r)
 	case kindFigure:
@@ -178,6 +151,38 @@ func (s *Server) executeTask(ctx context.Context, r *run) (any, error) {
 		return FigureResult{Figure: spec.ID, Title: spec.Title, Tables: tables}, nil
 	}
 	return nil, fmt.Errorf("service: unknown run kind %q", r.kind)
+}
+
+// simulate runs one simulation for r through exec with the run's
+// outputs wired: a fresh telemetry registry, the event log and the
+// causal trace written straight into the run's byte logs, the trace
+// opened by a meta record naming the run, and a kernel flight recorder
+// when configured. Wall spans are on, so the request's build stages
+// show up alongside the simulated-time records; the flight recorder is
+// registered around the run by the simulator, so GET /debug/flight
+// sees exactly the in-flight runs.
+func (s *Server) simulate(r *run, cfg experiments.RunConfig, exec func(experiments.RunConfig) (sim.Result, error), meta ...trace.Field) (SimResult, error) {
+	reg := telemetry.New()
+	cfg.Telemetry = reg
+	cfg.EventLog = r.events
+	cfg.Trace = trace.New(r.traces, trace.Options{WallSpans: true})
+	cfg.Trace.Meta(append([]trace.Field{trace.F("run", r.id)}, meta...)...)
+	if s.cfg.FlightEvents > 0 {
+		cfg.Flight = trace.NewFlightRecorder(s.cfg.FlightEvents, nil, "run "+r.id)
+	}
+	res, err := exec(cfg)
+	if err != nil {
+		return SimResult{}, err
+	}
+	return SimResult{
+		Summary:       res.Summary,
+		FailureEvents: res.FailureEvents,
+		JobKills:      res.JobKills,
+		Migrations:    res.Migrations,
+		Checkpoints:   res.Checkpoints,
+		Backfills:     res.Backfills,
+		Telemetry:     reg.Snapshot(),
+	}, nil
 }
 
 // finish publishes r's terminal state: renders the immutable record
@@ -226,11 +231,10 @@ func (s *Server) finish(r *run, attempts int, payload any, err error) {
 	// otherwise a /readyz probe issued right after a successful waited
 	// run can race ahead of the failure-streak reset below.
 	if persist && s.journal != nil {
-		lines, _ := r.events.counts()
-		events := make([]string, 0, lines)
-		got, _, _, _ := r.events.wait(context.Background(), 0)
-		for _, ln := range got {
-			events = append(events, string(ln))
+		// The journal keeps one string per event line.
+		var events []string
+		if stream, _, _, _ := r.events.wait(context.Background(), 0); len(stream) > 0 {
+			events = strings.Split(strings.TrimSuffix(string(stream), "\n"), "\n")
 		}
 		if jerr := s.journal.append(persistedRun{Body: body, Events: events}); jerr != nil {
 			// Failures are counted and tracked as a consecutive streak:

@@ -305,8 +305,8 @@ func (s *Server) handleFlightDump(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// streamNDJSON replays buffer lines as NDJSON and follows live output
-// until the buffer closes or the client disconnects.
+// streamNDJSON replays a run's byte log as NDJSON and follows live
+// output until the log closes or the client disconnects.
 func (s *Server) streamNDJSON(w http.ResponseWriter, req *http.Request, buf *eventBuffer) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
@@ -320,22 +320,19 @@ func (s *Server) streamNDJSON(w http.ResponseWriter, req *http.Request, buf *eve
 
 	cursor := 0
 	for {
-		// wait hands back every line past the cursor, so when closed is
+		// wait hands back every byte past the cursor, so when closed is
 		// set the returned batch is the stream's tail.
-		lines, next, closed, err := buf.wait(req.Context(), cursor)
+		chunk, next, closed, err := buf.wait(req.Context(), cursor)
 		if err != nil {
 			return // client gone
 		}
-		for _, ln := range lines {
-			if _, werr := w.Write(ln); werr != nil {
+		if len(chunk) > 0 {
+			if _, werr := w.Write(chunk); werr != nil {
 				return
 			}
-			if _, werr := io.WriteString(w, "\n"); werr != nil {
-				return
+			if flusher != nil {
+				flusher.Flush()
 			}
-		}
-		if len(lines) > 0 && flusher != nil {
-			flusher.Flush()
 		}
 		if closed {
 			return

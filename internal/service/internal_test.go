@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -10,29 +11,26 @@ import (
 
 func TestEventBufferReplayAndFollow(t *testing.T) {
 	b := newEventBuffer(0)
-	b.append([]byte("one"))
-	b.append([]byte("two"))
+	b.Write([]byte("one\n"))
+	b.Write([]byte("two\n"))
 
 	ctx := context.Background()
-	lines, next, closed, err := b.wait(ctx, 0)
-	if err != nil || closed || len(lines) != 2 || next != 2 {
-		t.Fatalf("replay: lines=%d next=%d closed=%v err=%v", len(lines), next, closed, err)
-	}
-	if string(lines[0]) != "one" || string(lines[1]) != "two" {
-		t.Fatalf("replay content: %q %q", lines[0], lines[1])
+	chunk, next, closed, err := b.wait(ctx, 0)
+	if err != nil || closed || string(chunk) != "one\ntwo\n" || next != 8 {
+		t.Fatalf("replay: chunk=%q next=%d closed=%v err=%v", chunk, next, closed, err)
 	}
 
-	// A follower blocks until the next append.
+	// A follower blocks until the next write.
 	got := make(chan string, 1)
 	go func() {
-		lines, _, _, _ := b.wait(ctx, next)
-		got <- string(lines[0])
+		chunk, _, _, _ := b.wait(ctx, next)
+		got <- string(chunk)
 	}()
-	time.Sleep(10 * time.Millisecond) // let the follower park
-	b.append([]byte("three"))
+	waitParked(t, b)
+	b.Write([]byte("three\n"))
 	select {
 	case s := <-got:
-		if s != "three" {
+		if s != "three\n" {
 			t.Fatalf("follower got %q", s)
 		}
 	case <-time.After(5 * time.Second):
@@ -42,44 +40,81 @@ func TestEventBufferReplayAndFollow(t *testing.T) {
 	// close wakes blocked waiters with closed=true and an empty batch.
 	done := make(chan struct{})
 	go func() {
-		lines, _, closed, _ := b.wait(ctx, 3)
-		if len(lines) != 0 || !closed {
-			t.Errorf("post-close wait: lines=%d closed=%v", len(lines), closed)
+		chunk, _, closed, _ := b.wait(ctx, 14)
+		if len(chunk) != 0 || !closed {
+			t.Errorf("post-close wait: chunk=%q closed=%v", chunk, closed)
 		}
 		close(done)
 	}()
-	time.Sleep(10 * time.Millisecond)
+	waitParked(t, b)
 	b.close()
 	<-done
 	b.close() // idempotent
-	b.append([]byte("late"))
+	b.Write([]byte("late\n"))
 	if n, _ := b.counts(); n != 3 {
-		t.Fatalf("append after close stored a line: %d", n)
+		t.Fatalf("write after close stored a line: %d", n)
+	}
+}
+
+// waitParked waits until a reader is parked in b.wait.
+func waitParked(t *testing.T, b *eventBuffer) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		b.mu.Lock()
+		parked := b.wake != nil
+		b.mu.Unlock()
+		if parked {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("reader never parked")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
 func TestEventBufferResetRestartsCursor(t *testing.T) {
 	b := newEventBuffer(0)
-	b.append([]byte("a"))
-	b.append([]byte("b"))
+	b.Write([]byte("a\n"))
+	b.Write([]byte("b\n"))
 	b.reset()
-	b.append([]byte("c"))
-	// A subscriber whose cursor (2) is past the new end restarts at 0.
-	lines, next, _, err := b.wait(context.Background(), 2)
-	if err != nil || len(lines) != 1 || string(lines[0]) != "c" || next != 1 {
-		t.Fatalf("after reset: lines=%v next=%d err=%v", lines, next, err)
+	b.Write([]byte("c\n"))
+	// A subscriber whose cursor (4) dates from before the reset
+	// restarts at the beginning of the new log.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	chunk, next, _, err := b.wait(ctx, 4)
+	if err != nil || string(chunk) != "c\n" || next != 6 {
+		t.Fatalf("after reset: chunk=%q next=%d err=%v", chunk, next, err)
+	}
+	if n, _ := b.counts(); n != 1 {
+		t.Fatalf("after reset: %d lines, want 1", n)
+	}
+	// A cursor inside the old log that the new one has outgrown still
+	// restarts at the beginning, never mid-line.
+	b.Write([]byte("dd\n"))
+	if chunk, _, _, err := b.wait(ctx, 2); string(chunk) != "c\ndd\n" {
+		t.Fatalf("old cursor read %q (%v), want the whole new log", chunk, err)
+	}
+	// A cursor from the new log continues where it left off.
+	if chunk, _, _, err := b.wait(ctx, next); string(chunk) != "dd\n" {
+		t.Fatalf("new cursor read %q (%v)", chunk, err)
 	}
 }
 
 func TestEventBufferByteCapDrops(t *testing.T) {
 	b := newEventBuffer(10)
-	b.append([]byte("12345"))  // 5 bytes
-	b.append([]byte("67890"))  // 10 bytes, at the cap
-	b.append([]byte("x"))      // would exceed: dropped
-	b.append([]byte("yzyzyz")) // dropped
+	b.Write([]byte("12345\n"))  // 5 bytes
+	b.Write([]byte("67890\n"))  // 10 bytes, at the cap
+	b.Write([]byte("x\n"))      // would exceed: dropped
+	b.Write([]byte("yzyzyz\n")) // dropped
 	stored, dropped := b.counts()
 	if stored != 2 || dropped != 2 {
 		t.Fatalf("stored=%d dropped=%d, want 2/2", stored, dropped)
+	}
+	if chunk, _, _, _ := b.wait(context.Background(), 0); string(chunk) != "12345\n67890\n" {
+		t.Fatalf("retained %q", chunk)
 	}
 }
 
@@ -91,7 +126,7 @@ func TestEventBufferWaitCancellation(t *testing.T) {
 		_, _, _, err := b.wait(ctx, 0)
 		errc <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	waitParked(t, b)
 	cancel()
 	select {
 	case err := <-errc:
@@ -103,8 +138,9 @@ func TestEventBufferWaitCancellation(t *testing.T) {
 	}
 }
 
-// TestEventBufferConcurrent hammers one buffer from appenders and
-// followers; meaningful under -race.
+// TestEventBufferConcurrent hammers one buffer from writers and
+// followers; meaningful under -race. Every follower must read whole
+// lines and see every line.
 func TestEventBufferConcurrent(t *testing.T) {
 	b := newEventBuffer(0)
 	var wg sync.WaitGroup
@@ -113,7 +149,7 @@ func TestEventBufferConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				b.append([]byte(fmt.Sprintf("w%d-%d", w, i)))
+				b.Write([]byte(fmt.Sprintf("w%d-%d\n", w, i)))
 			}
 		}(w)
 	}
@@ -123,14 +159,21 @@ func TestEventBufferConcurrent(t *testing.T) {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			cursor := 0
+			cursor, lines := 0, 0
 			for {
-				lines, next, closed, err := b.wait(ctx, cursor)
-				if err != nil || closed {
+				chunk, next, closed, err := b.wait(ctx, cursor)
+				if err != nil {
 					return
 				}
-				for _, ln := range lines {
-					_ = len(ln)
+				if len(chunk) > 0 && chunk[len(chunk)-1] != '\n' {
+					t.Errorf("torn batch %q", chunk)
+				}
+				lines += bytes.Count(chunk, newline)
+				if closed {
+					if lines != 800 {
+						t.Errorf("follower read %d lines, want 800", lines)
+					}
+					return
 				}
 				cursor = next
 			}
@@ -142,6 +185,64 @@ func TestEventBufferConcurrent(t *testing.T) {
 	cancelReaders()
 	if n, _ := b.counts(); n != 800 {
 		t.Fatalf("stored %d lines, want 800", n)
+	}
+}
+
+// TestEventBufferSlicesNeverChange: a batch handed out by wait keeps
+// its bytes while later writes append (in place or into a grown array)
+// and after a reset, and its capacity stops appends into the log.
+func TestEventBufferSlicesNeverChange(t *testing.T) {
+	b := newEventBuffer(0)
+	b.Write([]byte("first\n"))
+	chunk, _, _, _ := b.wait(context.Background(), 0)
+	if cap(chunk) != len(chunk) {
+		t.Fatalf("batch cap %d > len %d: the caller could append into the log", cap(chunk), len(chunk))
+	}
+	_ = append(chunk, "clobber\n"...)
+	for i := 0; i < 100; i++ {
+		b.Write([]byte("later\n"))
+	}
+	b.reset()
+	b.Write([]byte("retry\n"))
+	if string(chunk) != "first\n" {
+		t.Fatalf("handed-out batch changed to %q", chunk)
+	}
+	if got, _, _, _ := b.wait(context.Background(), 0); string(got) != "retry\n" {
+		t.Fatalf("log after reset = %q", got)
+	}
+}
+
+// TestEventBufferWakesOnlyParkedReaders: writes with no reader parked
+// make no wake channel; a parked reader makes one, and the write that
+// wakes it clears it.
+func TestEventBufferWakesOnlyParkedReaders(t *testing.T) {
+	b := newEventBuffer(0)
+	hasWake := func() bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.wake != nil
+	}
+	for i := 0; i < 10; i++ {
+		b.Write([]byte("line\n"))
+	}
+	b.reset()
+	if hasWake() {
+		t.Fatal("wake channel made with no reader parked")
+	}
+	done := make(chan struct{})
+	go func() {
+		b.wait(context.Background(), 0)
+		close(done)
+	}()
+	waitParked(t, b)
+	b.Write([]byte("line\n"))
+	<-done
+	if hasWake() {
+		t.Fatal("wake channel left behind after waking the reader")
+	}
+	b.Write([]byte("line\n"))
+	if hasWake() {
+		t.Fatal("write made a wake channel")
 	}
 }
 

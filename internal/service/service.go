@@ -92,8 +92,10 @@ type Config struct {
 	// MaxRuns bounds the in-memory run registry; the oldest terminal
 	// runs are evicted first (default 512).
 	MaxRuns int
-	// MaxEventBytes bounds the retained event log per run; beyond it
-	// events are dropped and counted (default 8 MiB).
+	// MaxEventBytes bounds the line bytes (newlines excluded) each run
+	// retains of its event log and, separately, of its causal trace;
+	// a record past it is dropped, and dropped events are counted
+	// (default 8 MiB).
 	MaxEventBytes int
 	// StatePath, when non-empty, appends every completed run to a JSONL
 	// state journal and reloads it on startup, so results and the cache

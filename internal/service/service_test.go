@@ -544,9 +544,9 @@ func TestLiveEventStream(t *testing.T) {
 	}
 	step := make(chan struct{})
 	s.execHook = func(ctx context.Context, r *run) (any, error) {
-		r.events.append([]byte(`{"seq":1,"kind":"arrival"}`))
+		r.events.Write([]byte(`{"seq":1,"kind":"arrival"}` + "\n"))
 		<-step
-		r.events.append([]byte(`{"seq":2,"kind":"finish"}`))
+		r.events.Write([]byte(`{"seq":2,"kind":"finish"}` + "\n"))
 		return SimResult{}, nil
 	}
 	ts := httptest.NewServer(s.Handler())

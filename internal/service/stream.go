@@ -1,100 +1,115 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"sync"
 )
 
-// eventBuffer accumulates one run's JSONL event lines in memory and
-// lets any number of stream subscribers replay and follow them. The
-// simulator appends from the executing worker; HTTP streams read
-// concurrently. Retention is byte-bounded: past maxBytes further lines
-// are dropped (and counted) rather than growing without limit.
+// eventBuffer is one run's line-counted byte log: the io.Writer its
+// JSONL event log (or its causal trace) is written into, replayed and
+// followed by any number of stream subscribers. The executing worker
+// writes; HTTP streams read concurrently.
+//
+// Every Write holds whole newline-terminated lines — the simulator's
+// event logger and the tracer write one record per call. Written bytes
+// are never modified, so a slice handed out by wait stays valid while
+// later writes append and after a reset, which starts a new array.
+//
+// Retention is byte-bounded: a write that would take the retained line
+// bytes (newlines excluded) past maxBytes is dropped whole and its
+// lines are counted, rather than growing without limit.
 type eventBuffer struct {
 	mu       sync.Mutex
-	lines    [][]byte
-	bytes    int
+	buf      []byte
+	lines    int // newlines in buf
+	base     int // cursor of buf[0]: the bytes earlier resets discarded
 	maxBytes int
 	dropped  int
 	closed   bool
-	wake     chan struct{}
+	// wake exists only while a reader is parked: a reader that finds
+	// nothing new creates it, and the next write, reset or close closes
+	// and clears it.
+	wake chan struct{}
 }
+
+var newline = []byte{'\n'}
 
 func newEventBuffer(maxBytes int) *eventBuffer {
-	return &eventBuffer{maxBytes: maxBytes, wake: make(chan struct{})}
+	return &eventBuffer{maxBytes: maxBytes}
 }
 
-// append stores a copy of one event line. No-op after close.
-func (b *eventBuffer) append(line []byte) {
+// Write appends p, which holds whole lines. It never fails: after close
+// p is discarded, and past the byte bound it is discarded and its lines
+// are counted as dropped.
+func (b *eventBuffer) Write(p []byte) (int, error) {
+	n := bytes.Count(p, newline)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
-		return
+		return len(p), nil
 	}
-	if b.maxBytes > 0 && b.bytes+len(line) > b.maxBytes {
-		b.dropped++
-		return
+	if b.maxBytes > 0 && len(b.buf)-b.lines+len(p)-n > b.maxBytes {
+		b.dropped += n
+		return len(p), nil
 	}
-	cp := make([]byte, len(line))
-	copy(cp, line)
-	b.lines = append(b.lines, cp)
-	b.bytes += len(cp)
-	b.broadcastLocked()
+	b.buf = append(b.buf, p...)
+	b.lines += n
+	b.wakeLocked()
+	return len(p), nil
 }
 
-// reset discards buffered lines (a retried run restarts its event
-// stream from scratch); subscribers whose cursor is past the new end
-// restart from the beginning.
+// reset discards the log (a retried run restarts its streams from
+// scratch); subscribers resume at the beginning of the new log.
 func (b *eventBuffer) reset() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return
 	}
-	b.lines, b.bytes, b.dropped = nil, 0, 0
-	b.broadcastLocked()
+	b.base += len(b.buf)
+	b.buf, b.lines, b.dropped = nil, 0, 0
+	b.wakeLocked()
 }
 
-// close marks the stream complete and wakes all subscribers.
-// Idempotent.
+// close marks the log complete and wakes all subscribers. Idempotent.
 func (b *eventBuffer) close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return
-	}
 	b.closed = true
-	b.broadcastLocked()
+	b.wakeLocked()
 }
 
-func (b *eventBuffer) broadcastLocked() {
-	close(b.wake)
-	b.wake = make(chan struct{})
+func (b *eventBuffer) wakeLocked() {
+	if b.wake != nil {
+		close(b.wake)
+		b.wake = nil
+	}
 }
 
 // counts returns (stored, dropped) line counts.
 func (b *eventBuffer) counts() (int, int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.lines), b.dropped
+	return b.lines, b.dropped
 }
 
-// wait blocks until lines beyond cursor `from` exist, the buffer is
-// closed, or ctx is done. It returns the new lines (shared, immutable
-// once appended), the advanced cursor, and whether the buffer has been
-// closed. A cursor past the end (the buffer was reset) restarts at 0.
-func (b *eventBuffer) wait(ctx context.Context, from int) (lines [][]byte, next int, closed bool, err error) {
+// wait blocks until bytes past cursor from exist, the log is closed, or
+// ctx is done. It returns those bytes (whole lines, shared, and capped
+// so the caller cannot append into the log), the cursor to pass next,
+// and whether the log is closed. Start from 0; a cursor from before the
+// latest reset resumes at the beginning of the new log.
+func (b *eventBuffer) wait(ctx context.Context, from int) (chunk []byte, next int, closed bool, err error) {
 	b.mu.Lock()
 	for {
-		if from > len(b.lines) {
-			from = 0
-		}
-		if len(b.lines) > from || b.closed {
-			lines = b.lines[from:]
-			next = from + len(lines)
-			closed = b.closed
+		i := max(from-b.base, 0)
+		if n := len(b.buf); n > i || b.closed {
+			chunk, next, closed = b.buf[i:n:n], b.base+n, b.closed
 			b.mu.Unlock()
-			return lines, next, closed, nil
+			return chunk, next, closed, nil
+		}
+		if b.wake == nil {
+			b.wake = make(chan struct{})
 		}
 		ch := b.wake
 		b.mu.Unlock()
@@ -107,14 +122,21 @@ func (b *eventBuffer) wait(ctx context.Context, from int) (lines [][]byte, next 
 	}
 }
 
-// replay pre-fills a buffer (journal restore) and closes it.
+// replay pre-fills the log with journalled lines (a restore) and closes
+// it. Lines are counted from the stored bytes, so the count always
+// matches the stream.
 func (b *eventBuffer) replay(lines []string) {
-	b.mu.Lock()
+	size := len(lines)
 	for _, ln := range lines {
-		b.lines = append(b.lines, []byte(ln))
-		b.bytes += len(ln)
+		size += len(ln)
 	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.buf = make([]byte, 0, size)
+	for _, ln := range lines {
+		b.buf = append(append(b.buf, ln...), '\n')
+	}
+	b.lines = bytes.Count(b.buf, newline)
 	b.closed = true
-	b.broadcastLocked()
-	b.mu.Unlock()
+	b.wakeLocked()
 }

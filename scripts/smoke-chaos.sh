@@ -81,6 +81,24 @@ for i in 1 2 3 4 5 6 7 8; do
 done
 [ "$ok" -eq 1 ] || fail "could not complete a reference run under chaos"
 
+# Record its event stream too. Chaos can fault or silently truncate the
+# response, so retry until the stream holds every event the record
+# counts.
+run_id() { sed -n 's/^{"id":"\([^"]*\)".*/\1/p' "$1"; }
+id=$(run_id "$workdir/pre-kill.json")
+want=$(grep -o '"events":[0-9]*' "$workdir/pre-kill.json" | head -n1 | cut -d: -f2)
+[ -n "$id" ] && [ -n "$want" ] && [ "$want" -gt 0 ] || fail "reference record lacks an id or events: $(cat "$workdir/pre-kill.json")"
+ok=0
+for i in 1 2 3 4 5 6 7 8; do
+    if curl -sf "$base/v1/runs/$id/events" >"$workdir/pre-kill.ndjson" 2>/dev/null &&
+        [ "$(wc -l <"$workdir/pre-kill.ndjson" | tr -d ' ')" -eq "$want" ]; then
+        ok=1
+        break
+    fi
+    sleep 0.2
+done
+[ "$ok" -eq 1 ] || fail "could not read the reference run's $want events under chaos"
+
 echo "smoke-chaos: kill -9 mid-soak"
 "$workdir/bgload" -addr "$base" -clients 4 -requests 200 -seed 99 \
     >"$workdir/soak-killed.txt" 2>&1 &
@@ -100,6 +118,11 @@ echo "smoke-chaos: checking the pre-kill run survived as a cache hit"
 curl -sf -D "$workdir/hdr" -X POST "$base/v1/runs" -d "$cfg" >"$workdir/post-kill.json" \
     || fail "resubmission after recovery failed"
 grep -qi '^x-cache: hit' "$workdir/hdr" || fail "pre-kill run not restored from journal"
+
+echo "smoke-chaos: checking the restored event stream is byte-identical"
+curl -sf "$base/v1/runs/$(run_id "$workdir/post-kill.json")/events" >"$workdir/post-kill.ndjson" \
+    || fail "restored event stream fetch failed"
+cmp -s "$workdir/pre-kill.ndjson" "$workdir/post-kill.ndjson" || fail "restored event stream differs from the pre-kill one"
 
 echo "smoke-chaos: clean soak against the recovered server"
 "$workdir/bgload" -addr "$base" -clients 2 -requests 20 -seed 5 \

@@ -57,6 +57,15 @@ curl -sf -X POST "$base/v1/runs?wait=1" -d "$cfg" >"$workdir/run1.json" \
     || fail "run submission failed"
 grep -q '"state":"done"' "$workdir/run1.json" || fail "run did not complete: $(cat "$workdir/run1.json")"
 
+echo "smoke-serve: checking the event stream holds the record's events"
+id=$(sed -n 's/^{"id":"\([^"]*\)".*/\1/p' "$workdir/run1.json")
+[ -n "$id" ] || fail "no run id in the record: $(cat "$workdir/run1.json")"
+want=$(grep -o '"events":[0-9]*' "$workdir/run1.json" | head -n1 | cut -d: -f2)
+curl -sf "$base/v1/runs/$id/events" >"$workdir/events.ndjson" || fail "event stream fetch failed"
+got=$(wc -l <"$workdir/events.ndjson" | tr -d ' ')
+[ -n "$want" ] && [ "$want" -gt 0 ] || fail "record reports no events: $(cat "$workdir/run1.json")"
+[ "$got" -eq "$want" ] || fail "event stream has $got lines, the record says $want"
+
 echo "smoke-serve: checking cache hit is byte-identical"
 curl -sf -D "$workdir/hdr2" -X POST "$base/v1/runs" -d "$cfg" >"$workdir/run2.json" \
     || fail "repeat submission failed"
