@@ -6,7 +6,7 @@
 // flags in plain `go test`: after the caches and pools are warm, a
 // chunk of steady-state kernel.step dispatches must perform exactly
 // zero heap allocations — the property the pooled calendar, the
-// runState free list, the batched telemetry counter and the buffered
+// runState free list, the once-per-call event counter and the buffered
 // shape finders exist to provide.
 package bgsched
 

@@ -3,12 +3,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
-
-	"bgsched/internal/metrics"
 )
-
-// metricsSummary is the run summary type metric extraction reads.
-type metricsSummary = metrics.Summary
 
 // Options tunes the scale of a figure reproduction. The zero value
 // gives the full-scale defaults; benchmarks use smaller JobCounts and
@@ -90,27 +85,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("FailureScale must be >= 0, got %g", o.FailureScale)
 	}
 	return nil
-}
-
-// Metric names accepted by Options.Metric.
-const (
-	MetricSlowdown = "slowdown"
-	MetricResponse = "response"
-	MetricWait     = "wait"
-)
-
-// metricValue extracts the selected metric from a run summary.
-func metricValue(metric string, s metricsSummary) (float64, error) {
-	switch metric {
-	case MetricSlowdown:
-		return s.AvgSlowdown, nil
-	case MetricResponse:
-		return s.AvgResponse, nil
-	case MetricWait:
-		return s.AvgWait, nil
-	}
-	return 0, fmt.Errorf("experiments: unknown metric %q (want %s, %s or %s)",
-		metric, MetricSlowdown, MetricResponse, MetricWait)
 }
 
 // Spec identifies one reproducible figure of the paper. Run executes
@@ -246,8 +220,7 @@ func Figure5(eng *Engine, opt Options) ([]*Table, error) {
 		t.Series = capacitySeries(len(failureAxis))
 		for xi, n := range failureAxis {
 			pts = append(pts, capacityPoint(opt, fmt.Sprintf("c=%.1f|x=%d", c, n),
-				baseCfg(opt, "SDSC", c, n, SchedBalancing, 0.1),
-				t, &t.Series[0], &t.Series[1], &t.Series[2], xi))
+				baseCfg(opt, "SDSC", c, n, SchedBalancing, 0.1), t, xi))
 		}
 		tables = append(tables, t)
 	}
@@ -311,8 +284,7 @@ func utilizationParamFigure(eng *Engine, opt Options, id, wl, param string, kind
 		t.Series = capacitySeries(len(paramAxis))
 		for xi, a := range paramAxis {
 			pts = append(pts, capacityPoint(opt, fmt.Sprintf("%s|c=%.1f|x=%.1f", wl, c, a),
-				baseCfg(opt, wl, c, 1000, kind, a),
-				t, &t.Series[0], &t.Series[1], &t.Series[2], xi))
+				baseCfg(opt, wl, c, 1000, kind, a), t, xi))
 		}
 		tables = append(tables, t)
 	}

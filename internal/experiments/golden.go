@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
-
-	"bgsched/internal/telemetry"
 )
 
 // GoldenGrid returns the six-point configuration grid the repository's
@@ -48,26 +45,10 @@ func GoldenSweep(eng *Engine) (*Table, error) {
 	}
 	pts := make([]point, len(grid))
 	for i, cfg := range grid {
-		i, cfg := i, cfg
 		t.X[i] = float64(i)
 		key := fmt.Sprintf("p%d-%s-%s", i, strings.ToLower(cfg.Workload), cfg.Scheduler)
-		pts[i] = point{
-			key: key,
-			cfg: cfg,
-			run: func(ctx context.Context, cfg RunConfig) ([]float64, *telemetry.Snapshot, error) {
-				res, err := RunContext(ctx, cfg)
-				if err != nil {
-					return nil, nil, err
-				}
-				return []float64{res.Summary.AvgSlowdown, res.Summary.AvgWait, res.Summary.Utilization}, nil, nil
-			},
-			fill: func(vals []float64, _ *telemetry.Snapshot) {
-				if len(vals) < 3 {
-					return // slots stay NaN for a failed point
-				}
-				t.Series[0].Y[i], t.Series[1].Y[i], t.Series[2].Y[i] = vals[0], vals[1], vals[2]
-			},
-		}
+		pts[i] = sweepPoint(singleRun, key, cfg, nil,
+			rowStats(t, i, MetricSlowdown, MetricWait, MetricUtilized)...)
 	}
 	return t, eng.runPoints("golden", pts)
 }

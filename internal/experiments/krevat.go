@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"math"
 
 	"bgsched/internal/core"
-	"bgsched/internal/telemetry"
 )
 
 // KrevatVariants are the four scheduler configurations of Krevat,
@@ -50,58 +47,15 @@ func KrevatTable(eng *Engine, opt Options, workload string, loadScale float64) (
 	}
 	var pts []point
 	for i, v := range KrevatVariants {
-		i := i
 		cfg := RunConfig{
 			Workload: workload, JobCount: opt.JobCount, LoadScale: loadScale,
 			Scheduler: SchedBaseline, Seed: opt.Seed,
 			Backfill: v.Backfill, BackfillStrict: v.Strict, Migration: v.Migration,
 		}
-		pts = append(pts, point{
-			key: v.Name,
-			cfg: cfg,
-			run: func(ctx context.Context, cfg RunConfig) ([]float64, *telemetry.Snapshot, error) {
-				// All four series come from the same runs, so the
-				// per-variant snapshot goes on the table, like the
-				// capacity figures.
-				reg := pointRegistry(opt, &cfg)
-				rs, err := RunSeedsContext(ctx, cfg, opt.Replications)
-				if err != nil {
-					return nil, nil, err
-				}
-				vals := make([]float64, 0, 4)
-				for _, metric := range []string{MetricSlowdown, MetricResponse, MetricWait} {
-					raw, err := rs.Metric(metric)
-					if err != nil {
-						return nil, nil, err
-					}
-					v, err := aggregate(raw, opt.Aggregate)
-					if err != nil {
-						return nil, nil, err
-					}
-					vals = append(vals, v)
-				}
-				us, _, _ := rs.Capacity()
-				u, err := aggregate(us, opt.Aggregate)
-				if err != nil {
-					return nil, nil, err
-				}
-				return append(vals, u), reg.Snapshot(), nil
-			},
-			fill: func(vals []float64, snap *telemetry.Snapshot) {
-				if len(vals) < 4 {
-					for s := range t.Series {
-						t.Series[s].Y[i] = math.NaN()
-					}
-					return
-				}
-				for s := range t.Series {
-					t.Series[s].Y[i] = vals[s]
-				}
-				if t.Telemetry != nil {
-					t.Telemetry[i] = snap
-				}
-			},
-		})
+		// All four series come from the same runs, so the per-variant
+		// snapshot goes on the table, like the capacity figures.
+		pts = append(pts, sweepPoint(opt, v.Name, cfg, snapSlot(t.Telemetry, i),
+			rowStats(t, i, MetricSlowdown, MetricResponse, MetricWait, MetricUtilized)...))
 	}
 	// The partially-filled table rides along with any error, so an
 	// interrupted run still surfaces the variants that completed.

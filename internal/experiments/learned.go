@@ -1,12 +1,6 @@
 package experiments
 
-import (
-	"context"
-	"fmt"
-	"math"
-
-	"bgsched/internal/telemetry"
-)
+import "fmt"
 
 // LearnedSweep is an extension experiment beyond the paper: average
 // bounded slowdown versus the learned predictor's decision threshold,
@@ -41,38 +35,21 @@ func LearnedSweep(eng *Engine, opt Options, wl string) (*Table, error) {
 			metricPoint(opt, fmt.Sprintf("tiebreak|x=%.2f", th),
 				baseCfg(opt, wl, 1.0, 1000, SchedTieBreakLearned, th), &t.Series[2], xi))
 	}
-	// Reference lines: one run each, flat across the axis (their single
-	// run's snapshot would misalign with the threshold axis, so it is
-	// discarded).
+	// Reference lines: one point each, written to slot 0 and copied
+	// flat across the axis (their snapshot would misalign with the
+	// threshold axis, so none is kept).
 	pts = append(pts,
-		flatLinePoint(opt, "ref|baseline", baseCfg(opt, wl, 1.0, 1000, SchedBaseline, 0), &t.Series[0]),
-		flatLinePoint(opt, "ref|knob-0.5", baseCfg(opt, wl, 1.0, 1000, SchedBalancing, 0.5), &t.Series[3]))
+		sweepPoint(opt, "ref|baseline", baseCfg(opt, wl, 1.0, 1000, SchedBaseline, 0), nil,
+			stat{opt.Metric, &t.Series[0].Y[0]}),
+		sweepPoint(opt, "ref|knob-0.5", baseCfg(opt, wl, 1.0, 1000, SchedBalancing, 0.5), nil,
+			stat{opt.Metric, &t.Series[3].Y[0]}))
 
 	// Partial tables ride along with any error (see KrevatTable).
-	return t, eng.runPoints("learned", pts)
-}
-
-// flatLinePoint builds the point computing one reference value and
-// replicating it across every slot of series s.
-func flatLinePoint(opt Options, key string, cfg RunConfig, s *Series) point {
-	return point{
-		key: key,
-		cfg: cfg,
-		run: func(ctx context.Context, cfg RunConfig) ([]float64, *telemetry.Snapshot, error) {
-			v, _, err := runMetricPointContext(ctx, opt, cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			return []float64{v}, nil, nil
-		},
-		fill: func(vals []float64, _ *telemetry.Snapshot) {
-			v := math.NaN()
-			if len(vals) >= 1 {
-				v = vals[0]
-			}
-			for i := range s.Y {
-				s.Y[i] = v
-			}
-		},
+	err := eng.runPoints("learned", pts)
+	for _, s := range []*Series{&t.Series[0], &t.Series[3]} {
+		for i := range s.Y {
+			s.Y[i] = s.Y[0]
+		}
 	}
+	return t, err
 }

@@ -69,20 +69,6 @@ func TestRenderPlotErrors(t *testing.T) {
 	}
 }
 
-func TestMetricValue(t *testing.T) {
-	s := metricsSummary{AvgSlowdown: 1, AvgResponse: 2, AvgWait: 3}
-	cases := map[string]float64{MetricSlowdown: 1, MetricResponse: 2, MetricWait: 3}
-	for m, want := range cases {
-		got, err := metricValue(m, s)
-		if err != nil || got != want {
-			t.Errorf("metricValue(%s) = %g, %v", m, got, err)
-		}
-	}
-	if _, err := metricValue("throughput", s); err == nil {
-		t.Fatal("unknown metric accepted")
-	}
-}
-
 func TestFigureWithResponseMetric(t *testing.T) {
 	tables, err := Figure4(nil, Options{JobCount: 50, Metric: MetricResponse, Replications: 1})
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"bgsched/internal/sim"
 	"bgsched/internal/stats"
-	"bgsched/internal/telemetry"
 )
 
 // seedStride separates replicate seeds. Run derives internal seeds as
@@ -46,27 +45,53 @@ func RunSeedsContext(ctx context.Context, cfg RunConfig, reps int) (ReplicateSet
 	return rs, nil
 }
 
-// Metric extracts one named metric from every replicate.
+// Statistic names: what a sweep point reads from each of its runs.
+// Options.Metric accepts the three timing statistics; the capacity
+// split is the fraction of machine time utilized, left unused and lost
+// to failures; dilation is the simulated time network contention added.
+const (
+	MetricSlowdown = "slowdown"
+	MetricResponse = "response"
+	MetricWait     = "wait"
+	MetricUtilized = "utilized"
+	MetricUnused   = "unused"
+	MetricLost     = "lost"
+	MetricDilation = "dilation"
+)
+
+// statistic reads the named statistic of one run.
+func statistic(name string, r sim.Result) (float64, error) {
+	switch name {
+	case MetricSlowdown:
+		return r.Summary.AvgSlowdown, nil
+	case MetricResponse:
+		return r.Summary.AvgResponse, nil
+	case MetricWait:
+		return r.Summary.AvgWait, nil
+	case MetricUtilized:
+		return r.Summary.Utilization, nil
+	case MetricUnused:
+		return r.Summary.UnusedCapacity, nil
+	case MetricLost:
+		return r.Summary.LostCapacity, nil
+	case MetricDilation:
+		return r.DilationSeconds, nil
+	}
+	return 0, fmt.Errorf("experiments: unknown statistic %q", name)
+}
+
+// Metric extracts one named statistic from every replicate, in seed
+// order.
 func (rs ReplicateSet) Metric(name string) ([]float64, error) {
 	out := make([]float64, 0, len(rs.Results))
 	for _, r := range rs.Results {
-		v, err := metricValue(name, r.Summary)
+		v, err := statistic(name, r)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// Capacity extracts the (utilized, unused, lost) triple per replicate.
-func (rs ReplicateSet) Capacity() (util, unused, lost []float64) {
-	for _, r := range rs.Results {
-		util = append(util, r.Summary.Utilization)
-		unused = append(unused, r.Summary.UnusedCapacity)
-		lost = append(lost, r.Summary.LostCapacity)
-	}
-	return
 }
 
 // Aggregation modes for replicated points.
@@ -84,64 +109,4 @@ func aggregate(vals []float64, how string) (float64, error) {
 		return stats.Quantile(vals, 0.5), nil
 	}
 	return 0, fmt.Errorf("experiments: unknown aggregate %q (want %s or %s)", how, AggMean, AggMedian)
-}
-
-// pointRegistry prepares per-point telemetry collection: when enabled
-// it attaches a fresh registry to cfg (shared by the point's
-// replicates) and returns it for snapshotting.
-func pointRegistry(opt Options, cfg *RunConfig) *telemetry.Registry {
-	if !opt.CollectTelemetry {
-		return nil
-	}
-	reg := telemetry.New()
-	cfg.Telemetry = reg
-	return reg
-}
-
-// runMetricPoint runs one sweep point with replication and returns the
-// aggregated metric value, plus the point's telemetry snapshot when
-// Options.CollectTelemetry is set (nil otherwise).
-func runMetricPoint(opt Options, cfg RunConfig) (float64, *telemetry.Snapshot, error) {
-	return runMetricPointContext(context.Background(), opt, cfg)
-}
-
-// runMetricPointContext is runMetricPoint under a cancellation context.
-func runMetricPointContext(ctx context.Context, opt Options, cfg RunConfig) (float64, *telemetry.Snapshot, error) {
-	reg := pointRegistry(opt, &cfg)
-	rs, err := RunSeedsContext(ctx, cfg, opt.Replications)
-	if err != nil {
-		return 0, nil, err
-	}
-	vals, err := rs.Metric(opt.Metric)
-	if err != nil {
-		return 0, nil, err
-	}
-	v, err := aggregate(vals, opt.Aggregate)
-	if err != nil {
-		return 0, nil, err
-	}
-	return v, reg.Snapshot(), nil
-}
-
-// runCapacityPoint runs one sweep point with replication and returns
-// the aggregated capacity split, plus the point's telemetry snapshot
-// when Options.CollectTelemetry is set (nil otherwise).
-func runCapacityPoint(ctx context.Context, opt Options, cfg RunConfig) (util, unused, lost float64, snap *telemetry.Snapshot, err error) {
-	reg := pointRegistry(opt, &cfg)
-	rs, err := RunSeedsContext(ctx, cfg, opt.Replications)
-	if err != nil {
-		return 0, 0, 0, nil, err
-	}
-	us, ns, ls := rs.Capacity()
-	if util, err = aggregate(us, opt.Aggregate); err != nil {
-		return
-	}
-	if unused, err = aggregate(ns, opt.Aggregate); err != nil {
-		return
-	}
-	if lost, err = aggregate(ls, opt.Aggregate); err != nil {
-		return
-	}
-	snap = reg.Snapshot()
-	return
 }

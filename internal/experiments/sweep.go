@@ -315,56 +315,94 @@ func (t *Table) allocTelemetry(n int, opt Options) {
 	}
 }
 
-// metricPoint builds the point computing one aggregated metric value
-// into slot xi of series s.
-func metricPoint(opt Options, key string, cfg RunConfig, s *Series, xi int) point {
+// stat pairs a named statistic (see ReplicateSet.Metric) with the
+// table slot its aggregate fills.
+type stat struct {
+	name string
+	slot *float64
+}
+
+// sweepPoint builds a sweep point. Its run executes cfg under
+// opt.Replications seeds and aggregates each statistic with
+// opt.Aggregate, returning the values in stats order — the order of
+// the point's journal Values. Its fill writes each value to its slot
+// and, when snap is non-nil, the point's telemetry snapshot to *snap; a
+// registry is attached to the runs only then. A failed or never-run
+// point leaves its slots at the NaN they start with.
+func sweepPoint(opt Options, key string, cfg RunConfig, snap **telemetry.Snapshot, stats ...stat) point {
 	return point{
 		key: key,
 		cfg: cfg,
 		run: func(ctx context.Context, cfg RunConfig) ([]float64, *telemetry.Snapshot, error) {
-			v, snap, err := runMetricPointContext(ctx, opt, cfg)
+			var reg *telemetry.Registry
+			if snap != nil {
+				reg = telemetry.New()
+				cfg.Telemetry = reg
+			}
+			rs, err := RunSeedsContext(ctx, cfg, opt.Replications)
 			if err != nil {
 				return nil, nil, err
 			}
-			return []float64{v}, snap, nil
+			vals := make([]float64, len(stats))
+			for i, st := range stats {
+				raw, err := rs.Metric(st.name)
+				if err != nil {
+					return nil, nil, err
+				}
+				if vals[i], err = aggregate(raw, opt.Aggregate); err != nil {
+					return nil, nil, err
+				}
+			}
+			return vals, reg.Snapshot(), nil
 		},
-		fill: func(vals []float64, snap *telemetry.Snapshot) {
-			if len(vals) < 1 {
-				s.Y[xi] = math.NaN()
+		fill: func(vals []float64, got *telemetry.Snapshot) {
+			if len(vals) < len(stats) {
 				return
 			}
-			s.Y[xi] = vals[0]
-			if s.Telemetry != nil {
-				s.Telemetry[xi] = snap
+			for i, st := range stats {
+				*st.slot = vals[i]
+			}
+			if snap != nil {
+				*snap = got
 			}
 		},
 	}
 }
 
-// capacityPoint builds the point computing the (utilized, unused,
-// lost) capacity split into slot xi of three series, with the shared
-// snapshot going to the table's telemetry slot.
-func capacityPoint(opt Options, key string, cfg RunConfig, t *Table, util, unused, lost *Series, xi int) point {
-	return point{
-		key: key,
-		cfg: cfg,
-		run: func(ctx context.Context, cfg RunConfig) ([]float64, *telemetry.Snapshot, error) {
-			u, un, lo, snap, err := runCapacityPoint(ctx, opt, cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			return []float64{u, un, lo}, snap, nil
-		},
-		fill: func(vals []float64, snap *telemetry.Snapshot) {
-			if len(vals) < 3 {
-				nan := math.NaN()
-				util.Y[xi], unused.Y[xi], lost.Y[xi] = nan, nan, nan
-				return
-			}
-			util.Y[xi], unused.Y[xi], lost.Y[xi] = vals[0], vals[1], vals[2]
-			if t.Telemetry != nil {
-				t.Telemetry[xi] = snap
-			}
-		},
+// snapSlot returns snapshot slot i, or nil when the slots were not
+// allocated (telemetry off).
+func snapSlot(snaps []*telemetry.Snapshot, i int) **telemetry.Snapshot {
+	if snaps == nil {
+		return nil
 	}
+	return &snaps[i]
+}
+
+// rowStats pairs the table's series, in order, with the named
+// statistics, each writing its slot at x index i.
+func rowStats(t *Table, i int, names ...string) []stat {
+	st := make([]stat, len(names))
+	for s, name := range names {
+		st[s] = stat{name, &t.Series[s].Y[i]}
+	}
+	return st
+}
+
+// singleRun runs a point once, at its own seed: the median of one
+// value is that value, so a table built with it reads each run's
+// statistics unchanged.
+var singleRun = Options{Replications: 1, Aggregate: AggMedian}
+
+// metricPoint builds the point computing opt.Metric into slot xi of
+// series s, with its snapshot beside it.
+func metricPoint(opt Options, key string, cfg RunConfig, s *Series, xi int) point {
+	return sweepPoint(opt, key, cfg, snapSlot(s.Telemetry, xi), stat{opt.Metric, &s.Y[xi]})
+}
+
+// capacityPoint builds the point computing the capacity split into
+// slot xi of a capacitySeries table, with the snapshot the three series
+// share on the table.
+func capacityPoint(opt Options, key string, cfg RunConfig, t *Table, xi int) point {
+	return sweepPoint(opt, key, cfg, snapSlot(t.Telemetry, xi),
+		rowStats(t, xi, MetricUtilized, MetricUnused, MetricLost)...)
 }

@@ -22,15 +22,6 @@ type Series struct {
 	Telemetry []*telemetry.Snapshot `json:"telemetry,omitempty"`
 }
 
-// appendTelemetry records a sweep point's snapshot; nil snapshots
-// (telemetry disabled) are skipped so Telemetry stays nil and the
-// field is omitted from JSON output.
-func (s *Series) appendTelemetry(snap *telemetry.Snapshot) {
-	if snap != nil {
-		s.Telemetry = append(s.Telemetry, snap)
-	}
-}
-
 // Table is the data behind one figure (or one panel of a multi-panel
 // figure): an x axis and one or more named series over it.
 type Table struct {
@@ -48,15 +39,6 @@ type Table struct {
 	// series all derive from the same runs (the capacity splits);
 	// per-series telemetry lives on Series instead.
 	Telemetry []*telemetry.Snapshot `json:"telemetry,omitempty"`
-}
-
-// appendTelemetry records a per-x-point snapshot on the table itself
-// (used when all series share the same runs); nil snapshots are
-// skipped.
-func (t *Table) appendTelemetry(snap *telemetry.Snapshot) {
-	if snap != nil {
-		t.Telemetry = append(t.Telemetry, snap)
-	}
 }
 
 // Validate checks the series lengths agree with the axis.

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"bgsched/internal/partition"
-	"bgsched/internal/telemetry"
 )
 
 // TournamentOptions parameterises the placement-policy tournament.
@@ -109,26 +107,8 @@ func Tournament(eng *Engine, opt TournamentOptions) (*Table, error) {
 					Contention:     level,
 					Seed:           opt.Seed,
 				}
-				pts = append(pts, point{
-					key: t.Rows[i],
-					cfg: cfg,
-					run: func(ctx context.Context, cfg RunConfig) ([]float64, *telemetry.Snapshot, error) {
-						res, err := RunContext(ctx, cfg)
-						if err != nil {
-							return nil, nil, err
-						}
-						return []float64{res.Summary.AvgSlowdown, res.Summary.AvgWait,
-							res.Summary.Utilization, res.DilationSeconds}, nil, nil
-					},
-					fill: func(vals []float64, _ *telemetry.Snapshot) {
-						if len(vals) < 4 {
-							return // slots stay NaN for a failed point
-						}
-						for si := range t.Series {
-							t.Series[si].Y[i] = vals[si]
-						}
-					},
-				})
+				pts = append(pts, sweepPoint(singleRun, t.Rows[i], cfg, nil,
+					rowStats(t, i, MetricSlowdown, MetricWait, MetricUtilized, MetricDilation)...))
 			}
 		}
 	}

@@ -17,6 +17,7 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -90,71 +91,17 @@ func baseRange(dim, ext int, wrap bool) int {
 	return dim
 }
 
-// partitionLess is the canonical finder output order: lexicographic by
-// shape then base. Candidates within one finder result are always
-// distinct, so the order is total and algorithm-independent.
-func partitionLess(a, b torus.Partition) bool {
-	if a.Shape != b.Shape {
-		if a.Shape.X != b.Shape.X {
-			return a.Shape.X < b.Shape.X
-		}
-		if a.Shape.Y != b.Shape.Y {
-			return a.Shape.Y < b.Shape.Y
-		}
-		return a.Shape.Z < b.Shape.Z
-	}
-	if a.Base.X != b.Base.X {
-		return a.Base.X < b.Base.X
-	}
-	if a.Base.Y != b.Base.Y {
-		return a.Base.Y < b.Base.Y
-	}
-	return a.Base.Z < b.Base.Z
-}
-
-// sortPartitions orders partitions lexicographically by shape then base,
-// giving every finder the same deterministic output order. Elements are
-// distinct, so any comparison sort yields the same result; a hand-rolled
-// heapsort (after an already-sorted fast path — enumeration emits in
-// order) keeps the hot path allocation-free, unlike sort.Slice, whose
-// reflective swapper escapes to the heap on every call.
+// sortPartitions puts partitions in the canonical finder output order:
+// lexicographic by shape, then base. Candidates within one finder
+// result are always distinct, so the order is total and
+// algorithm-independent.
 func sortPartitions(ps []torus.Partition) {
-	sorted := true
-	for i := 1; i < len(ps); i++ {
-		if partitionLess(ps[i], ps[i-1]) {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return
-	}
-	n := len(ps)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftPartitions(ps, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		ps[0], ps[i] = ps[i], ps[0]
-		siftPartitions(ps, 0, i)
-	}
-}
-
-// siftPartitions restores the max-heap property for root i over ps[:n].
-func siftPartitions(ps []torus.Partition, i, n int) {
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && partitionLess(ps[c], ps[c+1]) {
-			c++
-		}
-		if !partitionLess(ps[i], ps[c]) {
-			return
-		}
-		ps[i], ps[c] = ps[c], ps[i]
-		i = c
-	}
+	slices.SortFunc(ps, func(a, b torus.Partition) int {
+		return cmp.Or(
+			cmp.Compare(a.Shape.X, b.Shape.X), cmp.Compare(a.Shape.Y, b.Shape.Y),
+			cmp.Compare(a.Shape.Z, b.Shape.Z), cmp.Compare(a.Base.X, b.Base.X),
+			cmp.Compare(a.Base.Y, b.Base.Y), cmp.Compare(a.Base.Z, b.Base.Z))
+	})
 }
 
 // computeRunsInto fills runs[i] with the length of the maximal run of

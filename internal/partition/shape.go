@@ -91,11 +91,12 @@ func (f ShapeFinder) FreeOfSizeInto(gr *torus.Grid, size int, buf []torus.Partit
 }
 
 // appendFree appends every free partition of each shape in sc.shapes
-// to out in (shape, base x, base y, base z) order, sorted, and returns
-// it with the bases-scanned and early-reject tallies (every base of the
-// range is scanned; every base not returned is rejected). The busy
-// words of a base's footprint columns are OR-ed into one word, whose
-// free z-bases come out of windowBases.
+// to out in (shape, base x, base y, base z) order — the canonical
+// order without a sort, since AppendShapesOf lists shapes in (X, Y, Z)
+// order — and returns it with the bases-scanned and early-reject
+// tallies (every base of the range is scanned; every base not returned
+// is rejected). The busy words of a base's footprint columns are OR-ed
+// into one word, whose free z-bases come out of windowBases.
 func (sc *shapeScratch) appendFree(gr *torus.Grid, out []torus.Partition) ([]torus.Partition, int, int) {
 	g := gr.Geometry()
 	dims := g.Dims
@@ -137,7 +138,6 @@ func (sc *shapeScratch) appendFree(gr *torus.Grid, out []torus.Partition) ([]tor
 			}
 		}
 	}
-	sortPartitions(out)
 	return out, bases, rejects
 }
 

@@ -78,17 +78,17 @@ func TestBranchSnapshotCacheReuse(t *testing.T) {
 	if resp, view := branchOf(t, ts.URL, parent.ID, `{"at_seq":80,"branch":{"scheduler":"baseline"}}`); resp.StatusCode != http.StatusOK || view.State != StateDone {
 		t.Fatalf("first branch: status %d state %s %s", resp.StatusCode, view.State, view.Error)
 	}
-	if v, ok := metricValue(t, ts.URL, "service_branch_snapshot_misses"); !ok || v != 1 {
+	if v, ok := scrapeMetric(t, ts.URL, "service_branch_snapshot_misses"); !ok || v != 1 {
 		t.Fatalf("snapshot misses after first branch = %v (present %v), want 1", v, ok)
 	}
 	// A different branch off the same point must hit the snapshot cache.
 	if resp, view := branchOf(t, ts.URL, parent.ID, `{"at_seq":80,"branch":{"scheduler":"tiebreak","param":0.5}}`); resp.StatusCode != http.StatusOK || view.State != StateDone {
 		t.Fatalf("second branch: status %d state %s %s", resp.StatusCode, view.State, view.Error)
 	}
-	if v, ok := metricValue(t, ts.URL, "service_branch_snapshot_hits"); !ok || v != 1 {
+	if v, ok := scrapeMetric(t, ts.URL, "service_branch_snapshot_hits"); !ok || v != 1 {
 		t.Fatalf("snapshot hits after second branch = %v (present %v), want 1", v, ok)
 	}
-	if v, _ := metricValue(t, ts.URL, "service_branch_snapshot_misses"); v != 1 {
+	if v, _ := scrapeMetric(t, ts.URL, "service_branch_snapshot_misses"); v != 1 {
 		t.Fatalf("snapshot misses after second branch = %v, want still 1", v)
 	}
 

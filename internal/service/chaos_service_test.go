@@ -139,7 +139,7 @@ func TestChaosInjectedErrorResponses(t *testing.T) {
 	if resp, _ := getBody(t, ts.URL+"/metrics"); resp.StatusCode != 200 {
 		t.Fatalf("metrics under chaos = %d", resp.StatusCode)
 	}
-	if n, _ := metricValue(t, ts.URL, "service_chaos_requests_faulted"); n < 1 {
+	if n, _ := scrapeMetric(t, ts.URL, "service_chaos_requests_faulted"); n < 1 {
 		t.Fatalf("service_chaos_requests_faulted = %v, want >= 1", n)
 	}
 }
@@ -155,7 +155,7 @@ func TestChaosInjectedPanicIsContained(t *testing.T) {
 	if resp.Header.Get("X-Chaos") != "panic" {
 		t.Fatal("injected panic missing X-Chaos header")
 	}
-	if n, _ := metricValue(t, ts.URL, "service_http_panics"); n < 1 {
+	if n, _ := scrapeMetric(t, ts.URL, "service_http_panics"); n < 1 {
 		t.Fatalf("service_http_panics = %v, want >= 1", n)
 	}
 	// The server survives: with the injector exhausted of panics it
@@ -264,7 +264,7 @@ func TestJournalFailureStreakDegradesReadiness(t *testing.T) {
 	for seed := 1; seed <= journalDegradedAfter; seed++ {
 		submit(seed)
 	}
-	if n, _ := metricValue(t, ts.URL, "service_journal_errors"); n != journalDegradedAfter {
+	if n, _ := scrapeMetric(t, ts.URL, "service_journal_errors"); n != journalDegradedAfter {
 		t.Fatalf("service_journal_errors = %v, want %d", n, journalDegradedAfter)
 	}
 	resp, b := getBody(t, ts.URL+"/readyz")
@@ -341,7 +341,7 @@ func TestJournalRestoreSkipsCorruptTail(t *testing.T) {
 		s2.Close(ctx)
 	}()
 
-	if n, _ := metricValue(t, ts2.URL, "service_journal_restore_skipped"); n != 2 {
+	if n, _ := scrapeMetric(t, ts2.URL, "service_journal_restore_skipped"); n != 2 {
 		t.Fatalf("service_journal_restore_skipped = %v, want 2 (1 bad CRC + 1 torn)", n)
 	}
 	// Run B survived byte-identically...

@@ -70,7 +70,7 @@ func TestJournalRestoresRecordWithFinderWorkers(t *testing.T) {
 	}
 
 	_, ts := newTestServer(t, Config{StatePath: path})
-	if n, _ := metricValue(t, ts.URL, "service_journal_restore_skipped"); n != 0 {
+	if n, _ := scrapeMetric(t, ts.URL, "service_journal_restore_skipped"); n != 0 {
 		t.Fatalf("restore skipped %v records, want 0", n)
 	}
 	if _, got := getBody(t, ts.URL+"/v1/runs/r-000007"); string(got) != body+"\n" {

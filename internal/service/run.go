@@ -124,6 +124,7 @@ type RunView struct {
 	Events     int             `json:"events"`
 	Dropped    int             `json:"events_dropped,omitempty"`
 	Traces     int             `json:"trace_records,omitempty"`
+	TraceDrops int             `json:"trace_records_dropped,omitempty"`
 	Config     any             `json:"config,omitempty"`
 	Result     json.RawMessage `json:"result,omitempty"`
 }
@@ -154,7 +155,7 @@ func (s *Server) viewLocked(r *run, full bool) RunView {
 		v.Events, v.Dropped = r.events.counts()
 	}
 	if r.traces != nil {
-		v.Traces, _ = r.traces.counts()
+		v.Traces, v.TraceDrops = r.traces.counts()
 	}
 	if full {
 		v.Config = r.cfg

@@ -79,9 +79,9 @@ func decodeView(t *testing.T, b []byte) RunView {
 	return v
 }
 
-// metricValue scrapes /metrics and returns the value line for a
+// scrapeMetric scrapes /metrics and returns the value line for a
 // Prometheus sample name, e.g. "service_cache_hits".
-func metricValue(t *testing.T, baseURL, name string) (float64, bool) {
+func scrapeMetric(t *testing.T, baseURL, name string) (float64, bool) {
 	t.Helper()
 	_, b := getBody(t, baseURL+"/metrics")
 	for _, line := range strings.Split(string(b), "\n") {
@@ -214,13 +214,13 @@ func TestCacheHitByteIdentical(t *testing.T) {
 		}
 	}
 
-	if hits, ok := metricValue(t, ts.URL, "service_cache_hits"); !ok || hits != 2 {
+	if hits, ok := scrapeMetric(t, ts.URL, "service_cache_hits"); !ok || hits != 2 {
 		t.Fatalf("service_cache_hits = %v, want 2", hits)
 	}
-	if misses, _ := metricValue(t, ts.URL, "service_cache_misses"); misses != 1 {
+	if misses, _ := scrapeMetric(t, ts.URL, "service_cache_misses"); misses != 1 {
 		t.Fatalf("service_cache_misses = %v, want 1", misses)
 	}
-	if done, _ := metricValue(t, ts.URL, "service_runs_completed"); done != 1 {
+	if done, _ := scrapeMetric(t, ts.URL, "service_runs_completed"); done != 1 {
 		t.Fatalf("service_runs_completed = %v, want 1", done)
 	}
 }
@@ -274,7 +274,7 @@ func TestQueueSaturation429(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	if rejected, _ := metricValue(t, ts.URL, "service_queue_rejected"); rejected != 1 {
+	if rejected, _ := scrapeMetric(t, ts.URL, "service_queue_rejected"); rejected != 1 {
 		t.Fatalf("service_queue_rejected = %v, want 1", rejected)
 	}
 	// A duplicate of the queued config coalesces rather than occupying
@@ -523,7 +523,7 @@ func TestValidationErrors(t *testing.T) {
 			t.Errorf("%s: no JSON error body: %s", tc.name, b)
 		}
 	}
-	if submitted, _ := metricValue(t, ts.URL, "service_runs_submitted"); submitted != 0 {
+	if submitted, _ := scrapeMetric(t, ts.URL, "service_runs_submitted"); submitted != 0 {
 		t.Fatalf("invalid requests consumed queue slots: submitted = %v", submitted)
 	}
 	_ = s
@@ -638,7 +638,7 @@ func TestParallelClientsRace(t *testing.T) {
 			t.Fatalf("run %s failed: %s", r.ID, r.Error)
 		}
 	}
-	if hits, _ := metricValue(t, ts.URL, "service_cache_hits"); hits == 0 {
+	if hits, _ := scrapeMetric(t, ts.URL, "service_cache_hits"); hits == 0 {
 		t.Fatal("expected cache hits under the hammer")
 	}
 }
@@ -805,5 +805,37 @@ func TestMetricsDuringConcurrentCompletion(t *testing.T) {
 	}
 	if last != runs {
 		t.Fatalf("final service_runs_completed = %g, want %d", last, runs)
+	}
+}
+
+// A run whose streams pass MaxEventBytes says so in its record: both
+// drop counts appear, and stored plus dropped lines add up to the uncut
+// run's. An uncut record carries no drop field at all.
+func TestRunRecordReportsDroppedLines(t *testing.T) {
+	_, full := newTestServer(t, Config{})
+	_, body := postJSON(t, full.URL+"/v1/runs?wait=1", tinyRunBody)
+	want := decodeView(t, body)
+	if want.State != StateDone || want.Events == 0 || want.Traces == 0 {
+		t.Fatalf("uncut run: %s", body)
+	}
+	if bytes.Contains(body, []byte("dropped")) {
+		t.Fatalf("uncut record names a drop count: %s", body)
+	}
+
+	_, cut := newTestServer(t, Config{MaxEventBytes: 4096})
+	_, body = postJSON(t, cut.URL+"/v1/runs?wait=1", tinyRunBody)
+	got := decodeView(t, body)
+	if got.State != StateDone {
+		t.Fatalf("cut run: %s", body)
+	}
+	if got.Dropped == 0 || got.TraceDrops == 0 {
+		t.Fatalf("events_dropped = %d, trace_records_dropped = %d; want both > 0",
+			got.Dropped, got.TraceDrops)
+	}
+	if got.Events+got.Dropped != want.Events {
+		t.Fatalf("events %d + dropped %d != uncut %d", got.Events, got.Dropped, want.Events)
+	}
+	if got.Traces+got.TraceDrops != want.Traces {
+		t.Fatalf("trace records %d + dropped %d != uncut %d", got.Traces, got.TraceDrops, want.Traces)
 	}
 }

@@ -404,12 +404,11 @@ func (s *Simulator) RunToEvent(ctx context.Context, upTo int64) (bool, error) {
 	defer trace.UnregisterFlight(s.cfg.Flight)
 	span := s.cfg.Trace.Begin("sim", "run")
 	defer span.End()
-	// The per-event counter accumulates locally and publishes once per
-	// RunToEvent call: a batched add on exit instead of an atomic op
-	// per dispatched event. Readers of sim.events see the total when
-	// the call returns (Finalize always follows the last one).
-	ev := telemetry.NewBatch(s.met.events)
-	defer ev.Flush()
+	// sim.events publishes once per RunToEvent call, on exit, from the
+	// kernel's dispatch count instead of an atomic op per event.
+	// Readers see the total when the call returns (Finalize always
+	// follows the last one).
+	defer s.publishEvents(s.k.dispatched)
 	if !s.started {
 		s.started = true
 		if err := s.observe(); err != nil {
@@ -429,7 +428,6 @@ func (s *Simulator) RunToEvent(ctx context.Context, upTo int64) (bool, error) {
 			return false, fmt.Errorf("sim: deadlock at t=%g: %d jobs unfinished, no events pending",
 				s.k.now, s.pending)
 		}
-		ev.Inc()
 		err := s.step()
 		if err == nil && s.cfg.CheckInvariants {
 			err = s.verifyInvariants()
@@ -444,6 +442,10 @@ func (s *Simulator) RunToEvent(ctx context.Context, upTo int64) (bool, error) {
 	}
 	return true, nil
 }
+
+// publishEvents adds the events dispatched since the kernel's count
+// stood at from to the sim.events counter.
+func (s *Simulator) publishEvents(from int64) { s.met.events.Add(s.k.dispatched - from) }
 
 // step takes the next event from the kernel and dispatches it by kind.
 // The flight recorder sees the event before its handler runs, so a

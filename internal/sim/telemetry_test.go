@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"bgsched/internal/core"
@@ -74,8 +75,31 @@ func TestTelemetryCounterIdentities(t *testing.T) {
 	if c("sim.kills") == 0 {
 		t.Error("failure trace produced no kills; identity test is vacuous")
 	}
-	if c("sim.events") == 0 {
-		t.Error("no events counted")
+	if got, want := c("sim.events"), res.EventsDispatched; got != want || got == 0 {
+		t.Errorf("events counter = %d, Result.EventsDispatched = %d", got, want)
+	}
+	// sim.events is published as each RunToEvent call returns: a run
+	// paused midway has counted exactly the events it dispatched, and
+	// its continuation adds the rest.
+	pcfg := faultySchedConfig(t)
+	preg := telemetry.New()
+	pcfg.Telemetry = preg
+	paused, err := New(pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, err := paused.RunToEvent(context.Background(), 5); err != nil || done {
+		t.Fatalf("pause at 5: done=%v err=%v", done, err)
+	}
+	if got := preg.Snapshot().Counters["sim.events"]; got != 5 {
+		t.Errorf("paused events counter = %d, want 5", got)
+	}
+	pres, err := paused.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := preg.Snapshot().Counters["sim.events"]; got != pres.EventsDispatched {
+		t.Errorf("continued events counter = %d, want %d", got, pres.EventsDispatched)
 	}
 
 	// The machine drains at end of run: all nodes free, queue empty,

@@ -167,8 +167,9 @@ func DumpFlights(w io.Writer, reason string) int {
 }
 
 // InstallFlightSignalDump arranges for SIGQUIT to dump every live
-// flight recorder to stderr (alongside Go's own goroutine dump).
-// Idempotent; safe to call from every CLI main.
+// flight recorder to stderr, then hands the signal back to the Go
+// runtime, whose goroutine dump and exit status 2 follow. Idempotent;
+// safe to call from every CLI main.
 func InstallFlightSignalDump() {
 	installMu.Lock()
 	defer installMu.Unlock()
@@ -179,8 +180,14 @@ func InstallFlightSignalDump() {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, syscall.SIGQUIT)
 	go func() {
-		for range ch {
-			DumpFlights(os.Stderr, "SIGQUIT")
+		<-ch
+		DumpFlights(os.Stderr, "SIGQUIT")
+		// Re-raised with Go's default action restored: the runtime
+		// prints every goroutine's stack and exits 2. If the signal
+		// cannot be sent there is nothing left to report it to.
+		signal.Reset(syscall.SIGQUIT)
+		if self, err := os.FindProcess(os.Getpid()); err == nil {
+			_ = self.Signal(syscall.SIGQUIT)
 		}
 	}()
 }

@@ -2,10 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"os"
+	"os/exec"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"bgsched/internal/resilience"
 )
@@ -120,4 +125,48 @@ func TestInstallFlightPanicDumpIdempotent(t *testing.T) {
 	InstallFlightPanicDump()
 	InstallFlightSignalDump()
 	InstallFlightSignalDump()
+}
+
+// sigquitChildEnv marks the re-executed test binary that sends itself
+// SIGQUIT in TestFlightSignalDumpKeepsGoroutineDump.
+const sigquitChildEnv = "BGSCHED_TEST_SIGQUIT_CHILD"
+
+// SIGQUIT with the flight dump installed must still reach the Go
+// runtime: the flight dump first, then the goroutine dump, and the
+// process exits 2 instead of running on.
+func TestFlightSignalDumpKeepsGoroutineDump(t *testing.T) {
+	if os.Getenv(sigquitChildEnv) == "1" {
+		f := NewFlightRecorder(4, nil, "sigquit-child")
+		f.Record(FlightEvent{Seq: 1, Kind: "arrival"})
+		RegisterFlight(f)
+		InstallFlightSignalDump()
+		self, err := os.FindProcess(os.Getpid())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := self.Signal(syscall.SIGQUIT); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(5 * time.Second)
+		return // only reached when the signal was swallowed
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestFlightSignalDumpKeepsGoroutineDump$")
+	cmd.Env = append(os.Environ(), sigquitChildEnv+"=1", "GOTRACEBACK=single")
+	var stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stderr, &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("child exit = %v, want status 2\n%s", err, stderr.String())
+	}
+	out := stderr.String()
+	i := strings.Index(out, "=== flight recorder dump: sigquit-child (SIGQUIT, 1 event(s)) ===")
+	if i < 0 {
+		t.Fatalf("no flight dump in the child's output:\n%s", out)
+	}
+	if !strings.Contains(out[i:], "\ngoroutine ") {
+		t.Fatalf("no goroutine dump after the flight dump:\n%s", out)
+	}
 }

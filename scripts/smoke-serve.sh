@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Lifecycle smoke test for bgserve: boot a real process on a free
-# port, exercise health, a run, the result cache and the metrics
-# endpoint, then SIGTERM it and require a clean drain and exit 0.
+# port, exercise health, a run, the result cache, the metrics
+# endpoint and a figure sweep, then SIGTERM it and require a clean
+# drain and exit 0.
 # Used by `make smoke-serve` and CI; needs only sh, curl and go.
 set -eu
 
@@ -76,6 +77,24 @@ echo "smoke-serve: scraping /metrics"
 curl -sf "$base/metrics" >"$workdir/metrics.prom" || fail "metrics scrape failed"
 grep -q '^service_runs_completed 1$' "$workdir/metrics.prom" || fail "service_runs_completed != 1"
 grep -q '^service_cache_hits 1$' "$workdir/metrics.prom" || fail "service_cache_hits != 1"
+
+# After the scrape, so the run and cache counters above keep counting
+# the simulation run alone: a figure sweep through the service's
+# fail-fast engine, and its cache hit.
+fig='{"Options":{"JobCount":40,"Replications":1}}'
+echo "smoke-serve: submitting figure fig5"
+curl -sf -X POST "$base/v1/figures/fig5?wait=1" -d "$fig" >"$workdir/fig1.json" \
+    || fail "figure submission failed"
+grep -q '"state":"done"' "$workdir/fig1.json" || fail "figure did not complete: $(cat "$workdir/fig1.json")"
+tables=$(grep -o '"id":"fig5"' "$workdir/fig1.json" | wc -l | tr -d ' ')
+[ "$tables" -eq 2 ] || fail "figure has $tables tables, want 2: $(cat "$workdir/fig1.json")"
+series=$(grep -o '"name":"[a-z]*"' "$workdir/fig1.json" | cut -d'"' -f4 | tr '\n' ' ')
+[ "$series" = "utilized unused lost utilized unused lost " ] \
+    || fail "figure series are '$series', want utilized/unused/lost per table"
+curl -sf -D "$workdir/fighdr2" -X POST "$base/v1/figures/fig5?wait=1" -d "$fig" >"$workdir/fig2.json" \
+    || fail "repeat figure submission failed"
+grep -qi '^x-cache: hit' "$workdir/fighdr2" || fail "repeat figure was not a cache hit"
+cmp -s "$workdir/fig1.json" "$workdir/fig2.json" || fail "figure cache hit body not byte-identical"
 
 echo "smoke-serve: SIGTERM, expecting graceful drain"
 kill -TERM "$pid"
